@@ -245,11 +245,14 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
     """Bisection on g(mu) = I2(Bell) - I2(product) over mu in [0, 1].
 
     Seeds 17 equally spaced points; the first sign-change bracket is refined
-    until its width drops to tol.  Returns mu_t = None when no sign change
-    exists on the seed grid.
+    until its width drops to tol.  A seed whose gap is inside the noise floor
+    has no sign, so when its neighbours disagree in sign it is a root on the
+    grid and they form the bracket; a midpoint with an exactly zero gap ends
+    the bisection there.  Returns mu_t = None when no sign change exists on
+    the seed grid.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     bell = theta_ensemble(math.pi / 4)
     product = theta_ensemble(0.0)
 
@@ -263,20 +266,25 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
     # values at the numerical-noise level carry no sign information
     gaps = [g if abs(g) > THRESHOLD_NOISE_FLOOR else 0.0 for g in (gap(mu) for mu in seeds)]
     bracket = None
-    for i in range(THRESHOLD_SEEDS - 1):
-        if gaps[i] * gaps[i + 1] < 0.0:
-            bracket = (seeds[i], seeds[i + 1], gaps[i])
+    for i in range(1, THRESHOLD_SEEDS):
+        if gaps[i - 1] * gaps[i] < 0.0:
+            bracket = (i - 1, i)
+        elif gaps[i] == 0.0 and i + 1 < THRESHOLD_SEEDS and gaps[i - 1] * gaps[i + 1] < 0.0:
+            bracket = (i - 1, i + 1)
+        if bracket is not None:
             break
     if bracket is None:
         return ThresholdResult(chi_or_p=param, mu_t=None, bracket=(0.0, 1.0), iterations=0)
 
-    lo, hi, g_lo = bracket
+    lo, hi, g_lo = seeds[bracket[0]], seeds[bracket[1]], gaps[bracket[0]]
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         g_mid = gap(mid)
         iterations += 1
-        if g_lo * g_mid < 0.0:
+        if g_mid == 0.0:
+            lo = hi = mid
+        elif g_lo * g_mid < 0.0:
             hi = mid
         else:
             lo, g_lo = mid, g_mid

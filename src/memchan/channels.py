@@ -285,3 +285,9 @@ def apply(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     for op in kraus.ops:
         out += op @ rho.mat @ op.conj().T
     return DensityMatrix(out)
+
+
+def transfer_matrix(kraus: KrausSet) -> np.ndarray:
+    """Matrix T = sum_k kron(K, conj(K)) with T @ vec(rho) = vec(sum_k K rho K*)
+    under row-major vectorization (dim^2 x dim^2)."""
+    return sum(np.kron(op, op.conj()) for op in kraus.ops)

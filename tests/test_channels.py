@@ -24,6 +24,7 @@ from memchan.channels import (
     memory_channel,
     pure_state,
     random_density_matrix,
+    transfer_matrix,
 )
 from memchan.linalg import SIGMA_X, SIGMA_Z
 
@@ -326,6 +327,23 @@ def test_check_cptp_examples():
     # deliberately incomplete set: only the no-decay operator
     e0 = amplitude_damping_kraus(math.pi / 4).ops[0]
     assert check_cptp(KrausSet(dim=2, ops=(e0,))) > 0.4
+
+
+def test_transfer_matrix_acts_like_apply():
+    # the uncorrelated depolarizing set has complex operators (I x Y), so a
+    # missing conjugate in kron(K, conj(K)) shows here
+    rng = np.random.default_rng(16)
+    for kraus in (
+        amplitude_damping_kraus(1.1),
+        ad_correlated_kraus2(0.8),
+        depolarizing_uncorrelated_kraus2(0.6),
+    ):
+        t = transfer_matrix(kraus)
+        assert t.shape == (kraus.dim**2, kraus.dim**2)
+        for _ in range(5):
+            rho = random_density_matrix(kraus.dim, rng)
+            direct = apply(kraus, rho).mat.reshape(-1)
+            assert np.linalg.norm(t @ rho.mat.reshape(-1) - direct) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memchan
 from memchan import channels, cli, lindblad
+from memchan.capacity import depolarizing_threshold_closed
 from memchan.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -39,7 +45,7 @@ def test_parse_range_spec_single_point():
 
 @pytest.mark.parametrize(
     "spec",
-    ["0:1", "a:b:c", "0:1:0", "1:0:3", "-0.5:1:3", "0:1.5:3"],
+    ["0:1", "a:b:c", "0:1:0", "1:0:3", "-0.5:1:3", "0:1.5:3", "nan:nan:1", "0:nan:3"],
 )
 def test_parse_range_spec_rejects_bad_input(spec):
     with pytest.raises(UsageError):
@@ -126,6 +132,13 @@ def test_sweep_bad_range_is_usage_error(capsys):
     assert "mu_spec" in err
 
 
+def test_sweep_nan_range_is_usage_error(capsys):
+    # nan passes the lo <= hi and domain comparisons, so it needs its own check
+    code, _, err = run_cli(capsys, "sweep", "ad", "nan:nan:1", "0:1:1", "0:0:1")
+    assert code == EXIT_USAGE
+    assert "mu_spec" in err and "finite" in err
+
+
 def test_sweep_rejects_unknown_channel():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["sweep", "bogus", "0:1:2", "0:0:1", "0:0:1"])
@@ -165,6 +178,27 @@ def test_threshold_rejects_bad_param(capsys):
     code, _, err = run_cli(capsys, "threshold", "ad", "3.0", "1e-6")
     assert code == EXIT_USAGE
     assert "chi" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_threshold_rejects_non_finite_tol(capsys, tol):
+    # a nan bracket width never compares above tol, so bisection would not run
+    code, out, err = run_cli(capsys, "threshold", "ad", "0.6", tol)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "tol" in err
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 9 / 14])
+def test_threshold_root_on_seed_grid(capsys, p):
+    # eta/(1+eta) is 0.25, 0.375 and 0.125: seeds of the 17-point grid,
+    # whose gap sits inside the noise floor and so carries no sign
+    code, out, _ = run_cli(capsys, "threshold", "dp", repr(p), "1e-12")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    eta = 1.0 - 4.0 * p / 3.0
+    assert payload["mu_t"] == pytest.approx(depolarizing_threshold_closed(eta), abs=1e-9)
+    assert payload["bracket"][1] - payload["bracket"][0] <= 1e-12
 
 
 def test_threshold_rejects_bad_tag():
@@ -260,3 +294,31 @@ def test_verify_detects_wrong_eigenvalue(capsys, monkeypatch):
     assert by_name["lindblad_eigenoperators"]["pass"] is False
     # residual of the broken entry is alpha * ||R33||_F = 1.0 at alpha = 1
     assert by_name["lindblad_eigenoperators"]["max_residual"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_verify_never_loads_numpy_random():
+    # the Kraus/Lindblad checks compare transfer matrices, not sampled states
+    src = Path(memchan.__file__).resolve().parent.parent
+    script = (
+        "import contextlib, io, sys\n"
+        "from memchan import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == [str(EXIT_OK), "False"]
+
+
+def test_verify_detects_wrong_damping_angle(capsys, monkeypatch):
+    # every constructor stays CPTP, so only the Kraus/Lindblad gap can see it
+    original = lindblad.damping_angle
+    monkeypatch.setattr(lindblad, "damping_angle", lambda a, t: original(a, t) + 1e-6)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == EXIT_VERIFY_FAIL
+    by_name = {s["name"]: s for s in json.loads(out)["sections"]}
+    assert by_name["kraus_lindblad_equivalence"]["pass"] is False
+    assert by_name["cptp_constructors"]["pass"] is True

@@ -33,6 +33,7 @@ from memchan.lindblad import (
     evolve,
     evolve_superoperator,
     kraus_equivalence,
+    spectral_matrix,
     superoperator_matrix,
     verify_eigen,
 )
@@ -300,6 +301,36 @@ def test_evolve_semigroup_property():
             joint = evolve(cat, s + t, rho)
             stepped = evolve(cat, s, evolve(cat, t, rho))
             assert frobenius_distance(joint.mat, stepped.mat) <= 1e-10
+
+
+def test_spectral_matrix_acts_like_evolve():
+    rng = np.random.default_rng(11)
+    for cat in (catalog_dephasing_correlated(0.8), catalog_ad_correlated(1.2)):
+        cat = dual_basis(cat)
+        for t in (0.0, 0.4, 3.0):
+            m = spectral_matrix(cat, t)
+            rho = random_density_matrix(4, rng)
+            direct = evolve(cat, t, rho).mat.reshape(-1)
+            assert np.linalg.norm(m @ rho.mat.reshape(-1) - direct) <= 1e-12
+
+
+def test_spectral_matrix_matches_exponentiated_generator():
+    for spec, cat in (
+        (dephasing_correlated_spec(0.8), catalog_dephasing_correlated(0.8)),
+        (ad_correlated_spec(1.2), catalog_ad_correlated(1.2)),
+    ):
+        cat = dual_basis(cat)
+        s = superoperator_matrix(spec)
+        for t in EQUIV_TIMES:
+            assert np.linalg.norm(spectral_matrix(cat, t) - lindblad._expm(t * s)) <= 1e-12
+
+
+def test_spectral_matrix_requires_lefts_and_nonnegative_time():
+    cat = catalog_dephasing_correlated(1.0)
+    with pytest.raises(ValueError, match="left"):
+        spectral_matrix(cat, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectral_matrix(dual_basis(cat), -1.0)
 
 
 # ----------------------------------------------------------------------
