@@ -23,6 +23,7 @@ from .channels import (
     ChannelParams,
     DensityMatrix,
     KrausSet,
+    _check_range,
     apply,
     build_memory_channel,
     pure_state,
@@ -35,11 +36,6 @@ PURITY_TOL = 1e-10
 INEQUALITY_SLACK = 1e-10
 THRESHOLD_SEEDS = 17
 THRESHOLD_NOISE_FLOOR = 1e-11  # |g| below this is numerical zero when seeding
-
-
-def _check_range(name: str, value: float, lo: float, hi: float) -> None:
-    if not (lo <= value <= hi):
-        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > DENSITY_TOL:
             raise ValueError(f"trace must be 1, got {tr:.12g}")
-        spectrum = linalg.hermitian_eigen(m).eigenvalues
+        spectrum = linalg.hermitian_eigen(m)
         if spectrum[0] < -DENSITY_TOL:
             raise ValueError(
                 f"matrix is not positive semidefinite: min eigenvalue {spectrum[0]:.3e}"

@@ -77,9 +77,12 @@ def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> 
         raise UsageError(
             f"{name}: range [{lo:g}, {hi:g}] lies outside [{lo_bound:g}, {hi_bound:g}]"
         )
+    # The end points are exactly lo and hi, clamped into the domain: the slack
+    # above, or rounding in lo + (hi - lo) * i / (count - 1), may step past it.
+    lo, hi = (min(max(x, lo_bound), hi_bound) for x in (lo, hi))
     if count == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo] + [lo + (hi - lo) * i / (count - 1) for i in range(1, count - 1)] + [hi]
 
 
 # ----------------------------------------------------------------------
@@ -329,10 +332,6 @@ VERIFY_CHECKS = (
     check_uncorrelated_dephasing,
     check_closed_forms,
 )
-
-
-def build_verification_report() -> VerificationReport:
-    return VerificationReport(tuple(fn() for fn in VERIFY_CHECKS))
 
 
 def cmd_verify(args) -> int:

@@ -1,26 +1,12 @@
-"""Dense complex linear algebra for small operator matrices.
-
-Everything in this package lives in dimension 2, 4, or 16, so the routines
-here favour transparent algorithms with explicit error reporting over raw
-speed.  Conventions used throughout:
-
-* matrices are numpy ``complex128`` arrays; vectors are 1-D arrays;
-* ``vectorize`` stacks rows, so ``vec(A X B) = kron(A, B.T) @ vec(X)``
-  (note the plain transpose, not the conjugate);
-* eigenvalues come back ascending, ties broken by pre-sort position.
-"""
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
+"""Pauli constants and two validated numpy solves.  Both refuse non-square or
+non-finite input; ``hermitian_eigen`` also refuses a non-Hermitian matrix, and
+``solve_linear`` one that is singular to a relative tolerance, where numpy
+rejects only an exact zero pivot."""
 
 import numpy as np
 
-RESIDUAL_TOL = 1e-10    # default gate on result residuals
-PIVOT_TOL = 1e-12       # pivot floor relative to the matrix Frobenius norm
-JACOBI_TOL = 1e-14      # off-diagonal target relative to the input norm
-_MAX_JACOBI_SWEEPS = 100
+RESIDUAL_TOL = 1e-10    # Hermiticity gate relative to max(1, ||a||_F)
+PIVOT_TOL = 1e-12       # floor on 1 / (||a||_F ||a^-1||_F)
 
 
 def _readonly(m: np.ndarray) -> np.ndarray:
@@ -35,188 +21,29 @@ SIGMA_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
 PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _as_matrix(a) -> np.ndarray:
+def _finite_square(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got array of shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-    return a + b
-
-
-def scale(c, a) -> np.ndarray:
-    return complex(c) * _as_matrix(a)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
-
-
-def frobenius_distance(a, b) -> float:
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-@dataclass(frozen=True)
-class HermitianEigenResult:
-    """Decomposition a = V diag(w) V* with real ascending eigenvalues w."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _offdiag_norm(h: np.ndarray) -> float:
-    return float(np.linalg.norm(h - np.diag(np.diag(h))))
-
-
-def _jacobi_rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero h[p, q] (and h[q, p]) with a unitary plane rotation, accumulated in v."""
-    beta = h[p, q]
-    absb = abs(beta)
-    phase = beta / absb
-    tau = (h[q, q].real - h[p, p].real) / (2.0 * absb)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    cph = np.conj(phase)
-    u = np.array([[c, s], [-s * cph, c * cph]], dtype=complex)
-    idx = [p, q]
-    h[idx, :] = u.conj().T @ h[idx, :]
-    h[:, idx] = h[:, idx] @ u
-    v[:, idx] = v[:, idx] @ u
-    # the rotation annihilates the pair exactly; drop the rounding residue
-    h[p, q] = 0.0
-    h[q, p] = 0.0
-    h[p, p] = h[p, p].real
-    h[q, q] = h[q, q].real
-
-
-def hermitian_eigen(a, tol: float = RESIDUAL_TOL) -> HermitianEigenResult:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Sweeps continue until the off-diagonal Frobenius norm falls below
-    ``JACOBI_TOL * ||a||_F`` (at most 100 sweeps).  The input must be
-    Hermitian within ``tol * max(1, ||a||_F)``.
-    """
-    a = _as_matrix(a)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"eigendecomposition needs a square matrix, got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix contains non-finite entries")
-    norm_a = float(np.linalg.norm(a))
+def hermitian_eigen(a, tol: float = RESIDUAL_TOL) -> np.ndarray:
+    """Ascending eigenvalues (read-only) of a Hermitian matrix."""
+    a = _finite_square(a)
     defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > tol * max(1.0, norm_a):
+    if defect > tol * max(1.0, float(np.linalg.norm(a))):
         raise ValueError(f"matrix is not Hermitian: ||a - a*||_F = {defect:.3e}")
-
-    h = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    target = JACOBI_TOL * norm_a
-    skip = target / max(2 * n, 2)
-
-    off = _offdiag_norm(h)
-    sweeps = 0
-    while off > target:
-        if sweeps == _MAX_JACOBI_SWEEPS:
-            raise RuntimeError(
-                f"Jacobi iteration did not converge in {_MAX_JACOBI_SWEEPS} sweeps; "
-                f"off-diagonal norm {off:.3e} exceeds target {target:.3e}"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(h[p, q]) > skip:
-                    _jacobi_rotate(h, v, p, q)
-        sweeps += 1
-        off = _offdiag_norm(h)
-
-    w = np.diag(h).real.copy()
-    order = np.argsort(w, kind="stable")
-    return HermitianEigenResult(
-        eigenvalues=_readonly(w[order]), eigenvectors=_readonly(v[:, order])
-    )
+    return _readonly(np.linalg.eigvalsh(a))
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
-
-    b may be a vector or a matrix of stacked right-hand sides; the result
-    has the same shape.  A pivot of magnitude <= PIVOT_TOL * ||a||_F aborts
-    with the failing pivot column in the message.
-    """
-    a = _as_matrix(a)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"solve needs a square matrix, got {a.shape}")
-    b_arr = np.asarray(b, dtype=complex)
-    if b_arr.ndim not in (1, 2) or b_arr.shape[0] != n:
-        raise ValueError(f"rhs shape {b_arr.shape} does not match matrix of size {n}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix contains non-finite entries")
-
-    vector_input = b_arr.ndim == 1
-    rhs = b_arr[:, None].copy() if vector_input else b_arr.copy()
-    m = a.copy()
-    floor = PIVOT_TOL * float(np.linalg.norm(a))
-
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(m[k:, k])))
-        if abs(m[piv, k]) <= floor:
-            raise ValueError(
-                f"matrix is singular to tolerance: pivot {k} has magnitude "
-                f"{abs(m[piv, k]):.3e} (floor {floor:.3e})"
-            )
-        if piv != k:
-            m[[k, piv], :] = m[[piv, k], :]
-            rhs[[k, piv], :] = rhs[[piv, k], :]
-        if k + 1 < n:
-            factors = m[k + 1 :, k] / m[k, k]
-            m[k + 1 :, k:] -= np.outer(factors, m[k, k:])
-            rhs[k + 1 :, :] -= np.outer(factors, rhs[k, :])
-
-    x = np.zeros_like(rhs)
-    for k in range(n - 1, -1, -1):
-        x[k, :] = (rhs[k, :] - m[k, k + 1 :] @ x[k + 1 :, :]) / m[k, k]
-    return x[:, 0] if vector_input else x
-
-
-def vectorize(m) -> np.ndarray:
-    """Stack the rows of m into a 1-D vector."""
-    return _as_matrix(m).reshape(-1).copy()
-
-
-def devectorize(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vectorize` for a rows x cols matrix."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != rows * cols:
-        raise ValueError(f"vector of length {v.size} cannot fill a {rows}x{cols} matrix")
-    return v.reshape(rows, cols).copy()
+    """Solve a @ x = b for a vector or stacked right-hand sides b."""
+    a = _finite_square(a)
+    rcond = 1.0 / float(np.linalg.cond(a, "fro"))  # 0.0 when a is exactly singular
+    if rcond <= PIVOT_TOL:
+        msg = f"reciprocal condition number {rcond:.3e} (floor {PIVOT_TOL:g})"
+        raise ValueError(f"matrix is singular to tolerance: {msg}")
+    return np.linalg.solve(a, b)

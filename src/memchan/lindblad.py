@@ -112,7 +112,12 @@ def apply_generator(spec: LindbladSpec, pi) -> np.ndarray:
 
 
 def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
-    """Matrix S with S @ vec(pi) = vec(L(pi)) under row-major vectorization."""
+    """Matrix S with S @ vec(pi) = vec(L(pi)) under row-major vectorization.
+
+    vec(X) = X.reshape(-1) stacks rows, so vec(A X B) = kron(A, B.T) @ vec(X)
+    (a plain transpose, not the conjugate); channels.transfer_matrix and
+    spectral_matrix use the same convention.
+    """
     n = spec.dim
     eye = np.eye(n, dtype=complex)
     s = np.zeros((n * n, n * n), dtype=complex)
@@ -235,23 +240,16 @@ def dual_basis(cat: EigenoperatorCatalog) -> EigenoperatorCatalog:
     vectorized transposed rights.
     """
     n = cat.dim
-    gram = np.zeros((n * n, n * n), dtype=complex)
-    for j, entry in enumerate(cat.entries):
-        gram[j, :] = linalg.vectorize(entry.right.T)
+    gram = np.array([entry.right.T.reshape(-1) for entry in cat.entries])
     try:
         sol = linalg.solve_linear(gram, np.eye(n * n, dtype=complex))
     except ValueError as exc:
         raise ValueError(f"right eigenoperators do not span the operator space: {exc}")
-    lefts = tuple(linalg.devectorize(sol[:, i], n, n) for i in range(n * n))
-
-    worst = 0.0
-    for i, left in enumerate(lefts):
-        for j, entry in enumerate(cat.entries):
-            want = 1.0 if i == j else 0.0
-            worst = max(worst, abs(complex(np.trace(left @ entry.right)) - want))
+    cat = replace(cat, lefts=tuple(sol.T.reshape(n * n, n, n)))
+    worst = duality_residual(cat)
     if worst > DUALITY_TOL:
         raise ArithmeticError(f"duality residual {worst:.3e} exceeds {DUALITY_TOL:g}")
-    return replace(cat, lefts=lefts)
+    return cat
 
 
 def duality_residual(cat: EigenoperatorCatalog) -> float:
@@ -298,10 +296,8 @@ def verify_eigen(spec: LindbladSpec, cat: EigenoperatorCatalog) -> list:
     if spec.dim != cat.dim:
         raise ValueError(f"generator dim {spec.dim} does not match catalog dim {cat.dim}")
     return [
-        linalg.frobenius_distance(
-            apply_generator(spec, entry.right), entry.eigenvalue * entry.right
-        )
-        for entry in cat.entries
+        float(np.linalg.norm(apply_generator(spec, e.right) - e.eigenvalue * e.right))
+        for e in cat.entries
     ]
 
 
@@ -352,5 +348,4 @@ def evolve_superoperator(spec: LindbladSpec, t: float, pi: DensityMatrix) -> Den
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     prop = _expm(t * superoperator_matrix(spec))
-    out = linalg.devectorize(prop @ linalg.vectorize(pi.mat), spec.dim, spec.dim)
-    return DensityMatrix(out)
+    return DensityMatrix((prop @ pi.mat.reshape(-1)).reshape(spec.dim, spec.dim))

@@ -54,6 +54,17 @@ def test_density_matrix_rejects_non_hermitian():
         DensityMatrix(m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_density_matrix_rejects_non_finite(bad):
+    # a non-finite coherence slips past the Hermitian and trace comparisons
+    # (nan > tol is False); only the eigensolver's finite check stops it
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(m)
+
+
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(np.eye(2, dtype=complex))

@@ -139,6 +139,24 @@ def test_sweep_nan_range_is_usage_error(capsys):
     assert "mu_spec" in err and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, column, edge",
+    [
+        # lo + (hi - lo) * 6 / 6 rounds to 1.0000000000000002
+        (("dp", "0.059:1:7", "0.5:0.5:1", "0:0:1"), 1, 1.0),
+        # pi/2 typed to 13 digits lies 3.4e-14 past the edge, inside the slack
+        (("ad", "0:1:2", "0:1.5707963267949:2", "0:0:1"), 2, PI / 2),
+        (("ad", "0:1:2", "0.3:0.3:1", "0.1:1.5707963267949:3"), 3, PI / 2),
+    ],
+)
+def test_sweep_grid_ends_inside_domain(capsys, argv, column, edge):
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == EXIT_OK
+    values = [float(line.split(",")[column]) for line in out.splitlines()[1:]]
+    assert max(values) == float(f"{edge:.12g}")
+    assert parse_range_spec(argv[column], "x", 0.0, edge)[-1] == edge
+
+
 def test_sweep_rejects_unknown_channel():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["sweep", "bogus", "0:1:2", "0:0:1", "0:0:1"])

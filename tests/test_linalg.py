@@ -1,125 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
-from memchan import linalg
-from memchan.linalg import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    adjoint,
-    add,
-    devectorize,
-    frobenius_distance,
-    hermitian_eigen,
-    kron,
-    matmul,
-    scale,
-    solve_linear,
-    trace,
-    vectorize,
-)
+from memchan.linalg import SIGMA_X, hermitian_eigen, solve_linear
 
 
 def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def damping_ops(chi):
-    e0 = np.array([[math.cos(chi), 0], [0, 1]], dtype=complex)
-    e1 = np.array([[0, 0], [math.sin(chi), 0]], dtype=complex)
-    return e0, e1
-
-
-# ----------------------------------------------------------------------
-# kron and elementwise ops
-# ----------------------------------------------------------------------
-
-def test_kron_identity():
-    assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-
-def test_kron_sigma_z_pair():
-    assert np.array_equal(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]).astype(complex))
-
-
-def test_kron_block_convention():
-    # block (i, j) of kron(a, b) is a[i, j] * b
-    e0, e1 = damping_ops(math.pi / 4)
-    half = math.sqrt(2) / 2
-
-    m = kron(e1, e0)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[2, 0] = half * math.cos(math.pi / 4)  # = 0.5
-    expected[3, 1] = half
-    assert np.allclose(m, expected, atol=1e-15)
-    assert abs(m[2, 0] - 0.5) < 1e-15
-
-    # with the arguments the other way around the entries move accordingly
-    m2 = kron(e0, e1)
-    assert abs(m2[1, 0] - 0.5) < 1e-15
-    assert abs(m2[3, 2] - half) < 1e-15
-
-
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a, b, c, d = (random_complex(rng, (2, 2)) for _ in range(4))
-        left = matmul(kron(a, b), kron(c, d))
-        right = kron(matmul(a, c), matmul(b, d))
-        assert frobenius_distance(left, right) <= 1e-12
-
-
-def test_kron_trace_property():
-    rng = np.random.default_rng(12)
-    for n in (2, 3, 4):
-        a = random_complex(rng, (n, n))
-        b = random_complex(rng, (n, n))
-        assert abs(trace(kron(a, b)) - trace(a) * trace(b)) <= 1e-12
-
-
-def test_matmul_nilpotent_damping_jump():
-    for chi in (0.1, math.pi / 4, 1.3):
-        _, e1 = damping_ops(chi)
-        assert np.allclose(matmul(e1, e1), np.zeros((2, 2)))
-
-
-def test_trace_identity():
-    assert trace(np.eye(4, dtype=complex)) == 4
-
-
-def test_adjoint_hermitian_pauli():
-    assert np.array_equal(adjoint(SIGMA_Y), SIGMA_Y)
-
-
-def test_scale_and_add():
-    assert np.allclose(add(SIGMA_X, scale(-1, SIGMA_X)), np.zeros((2, 2)))
-
-
-def test_shape_errors_name_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 2\).*\(4, 4\)"):
-        matmul(SIGMA_X, np.eye(4))
-    with pytest.raises(ValueError, match=r"\(2, 2\).*\(4, 4\)"):
-        add(SIGMA_X, np.eye(4))
-    with pytest.raises(ValueError):
-        trace(np.ones((2, 3)))
-
-
-# ----------------------------------------------------------------------
-# frobenius_distance
-# ----------------------------------------------------------------------
-
-def test_frobenius_examples():
-    assert frobenius_distance(IDENTITY_2, IDENTITY_2) == 0.0
-    assert abs(frobenius_distance(SIGMA_X, SIGMA_Z) - 2.0) < 1e-15
-    assert abs(frobenius_distance(np.zeros((2, 2)), IDENTITY_2) - math.sqrt(2)) < 1e-15
-
-
-def test_frobenius_shape_mismatch():
-    with pytest.raises(ValueError):
-        frobenius_distance(IDENTITY_2, np.eye(4))
 
 
 # ----------------------------------------------------------------------
@@ -127,20 +13,20 @@ def test_frobenius_shape_mismatch():
 # ----------------------------------------------------------------------
 
 def test_eigen_already_diagonal():
-    res = hermitian_eigen(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert np.allclose(res.eigenvalues, [1.0, 2.0, 3.0])
+    w = hermitian_eigen(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    assert np.allclose(w, [1.0, 2.0, 3.0])
 
 
 def test_eigen_sigma_x_spectrum():
-    res = hermitian_eigen(SIGMA_X)
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0])
+    w = hermitian_eigen(SIGMA_X)
+    assert np.allclose(w, [-1.0, 1.0])
 
 
 def test_eigen_two_use_damped_average():
     # 1/4 (2|11><11| + |01><01| + |10><10|)
     rho = np.diag([0.0, 0.25, 0.25, 0.5]).astype(complex)
-    res = hermitian_eigen(rho)
-    assert np.allclose(res.eigenvalues, [0.0, 0.25, 0.25, 0.5], atol=1e-14)
+    w = hermitian_eigen(rho)
+    assert np.allclose(w, [0.0, 0.25, 0.25, 0.5], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
@@ -149,16 +35,16 @@ def test_eigen_reconstruction_and_orthonormality(n):
     for _ in range(10):
         g = random_complex(rng, (n, n))
         h = g + g.conj().T
-        res = hermitian_eigen(h)
-        v = res.eigenvectors
-        recon = v @ np.diag(res.eigenvalues) @ v.conj().T
-        norm_h = np.linalg.norm(h)
-        assert np.linalg.norm(recon - h) <= 1e-10 * max(1.0, norm_h)
-        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-10
+        w = hermitian_eigen(h)
+        assert not w.flags.writeable
         # ascending order
-        assert np.all(np.diff(res.eigenvalues) >= 0)
-        # independent check against numpy
-        assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(h), atol=1e-10)
+        assert np.all(np.diff(w) >= 0)
+        # the spectrum rebuilds h on numpy's eigenvectors and keeps its invariants
+        v = np.linalg.eigh(h)[1]
+        norm_h = np.linalg.norm(h)
+        assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h) <= 1e-10 * max(1.0, norm_h)
+        assert abs(w.sum() - np.trace(h).real) <= 1e-10 * max(1.0, norm_h)
+        assert abs(np.sum(w**2) - norm_h**2) <= 1e-10 * max(1.0, norm_h**2)
 
 
 def test_eigen_rejects_non_hermitian():
@@ -207,44 +93,10 @@ def test_solve_random_well_conditioned():
 
 def test_solve_singular_reports_pivot():
     a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    with pytest.raises(ValueError, match="pivot 1"):
+    with pytest.raises(ValueError, match="singular to tolerance"):
         solve_linear(a, np.array([1.0, 1.0]))
 
 
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         solve_linear(np.eye(2, dtype=complex), np.ones(3))
-
-
-# ----------------------------------------------------------------------
-# vectorize / devectorize
-# ----------------------------------------------------------------------
-
-def test_vectorize_row_major():
-    assert np.array_equal(vectorize(IDENTITY_2), np.array([1, 0, 0, 1], dtype=complex))
-
-
-def test_vectorize_round_trip():
-    assert np.array_equal(devectorize(vectorize(SIGMA_Y), 2, 2), SIGMA_Y)
-
-
-def test_vectorize_sandwich_identity_pauli():
-    x = np.array([[1, 0], [0, 0]], dtype=complex)  # |0><0|
-    lhs = vectorize(SIGMA_X @ x @ SIGMA_X)
-    rhs = kron(SIGMA_X, SIGMA_X.T) @ vectorize(x)
-    assert np.array_equal(lhs, np.array([0, 0, 0, 1], dtype=complex))
-    assert np.allclose(lhs, rhs)
-
-
-def test_vectorize_sandwich_identity_random():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        a, x, b = (random_complex(rng, (4, 4)) for _ in range(3))
-        lhs = vectorize(a @ x @ b)
-        rhs = kron(a, b.T) @ vectorize(x)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
-
-
-def test_devectorize_length_mismatch():
-    with pytest.raises(ValueError):
-        devectorize(np.ones(5), 2, 2)
