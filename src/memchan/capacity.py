@@ -94,19 +94,19 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def mutual_information_numeric(kraus: KrausSet, ensemble: InputEnsemble) -> float:
-    """I2 = S(avg output) - sum_i q_i S(output_i)."""
+    """I2 = S(avg output) - sum_i q_i S(output_i); rounding below 0 reads as 0."""
     if kraus.dim != ensemble.dim:
         raise ValueError(
             f"channel dim {kraus.dim} does not match ensemble dim {ensemble.dim}"
         )
     outputs = [apply(kraus, state) for state in ensemble.states]
-    avg = np.zeros((kraus.dim, kraus.dim), dtype=complex)
-    for q, out in zip(ensemble.probs, outputs):
-        avg += q * out.mat
+    avg = sum(q * out.mat for q, out in zip(ensemble.probs, outputs))
     holevo = von_neumann_entropy(DensityMatrix(avg))
     for q, out in zip(ensemble.probs, outputs):
         holevo -= q * von_neumann_entropy(out)
-    return holevo
+    if holevo < -TERM_NEGATIVE_TOL:
+        raise ArithmeticError(f"I2 {holevo!r} is negative beyond tolerance")
+    return holevo if holevo > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

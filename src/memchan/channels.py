@@ -54,6 +54,8 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] not in (2, 4):
             raise ValueError(f"unsupported dimension {m.shape[0]}, expected 2 or 4")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has non-finite entries")
         herm = float(np.linalg.norm(m - m.conj().T))
         if herm > DENSITY_TOL:
             raise ValueError(f"matrix is not Hermitian: residual {herm:.3e}")
@@ -119,10 +121,15 @@ class KrausSet:
 
     @cached_property
     def completeness_residual(self) -> float:
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for op in self.ops:
-            total += op.conj().T @ op
+        total = sum(op.conj().T @ op for op in self.ops)
         return float(np.linalg.norm(total - np.eye(self.dim)))
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        ops = np.array(self.ops)
+        t = np.einsum("kij,kab->iajb", ops, ops.conj()).reshape(self.dim**2, self.dim**2)
+        t.flags.writeable = False
+        return t
 
 
 def check_cptp(kraus: KrausSet) -> float:
@@ -274,20 +281,18 @@ def build_memory_channel(params: ChannelParams) -> KrausSet:
     raise ValueError(f"unknown channel family {params.which!r}")
 
 
+def transfer_matrix(kraus: KrausSet) -> np.ndarray:
+    """Matrix T = sum_k kron(K, conj(K)) with T @ vec(rho) = vec(sum_k K rho K*)
+    under row-major vectorization (dim^2 x dim^2); read-only, built once per set."""
+    return kraus.transfer
+
+
 def apply(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """Channel action sum_k K rho K*."""
+    """Channel action sum_k K rho K*, as transfer_matrix(kraus) @ vec(rho)."""
     if kraus.dim != rho.dim:
         raise ValueError(f"channel dim {kraus.dim} does not match state dim {rho.dim}")
     residual = kraus.completeness_residual
     if residual > CPTP_APPLY_TOL:
         raise ValueError(f"Kraus set is not trace preserving: residual {residual:.3e}")
-    out = np.zeros((kraus.dim, kraus.dim), dtype=complex)
-    for op in kraus.ops:
-        out += op @ rho.mat @ op.conj().T
-    return DensityMatrix(out)
-
-
-def transfer_matrix(kraus: KrausSet) -> np.ndarray:
-    """Matrix T = sum_k kron(K, conj(K)) with T @ vec(rho) = vec(sum_k K rho K*)
-    under row-major vectorization (dim^2 x dim^2)."""
-    return sum(np.kron(op, op.conj()) for op in kraus.ops)
+    out = transfer_matrix(kraus) @ rho.mat.reshape(-1)
+    return DensityMatrix(out.reshape(kraus.dim, kraus.dim))

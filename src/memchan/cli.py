@@ -263,13 +263,14 @@ def check_eigenoperators() -> CheckSection:
 
 
 def check_duality() -> CheckSection:
-    """Max |tr(L_i R_j) - delta_ij| after the dual-basis solve."""
+    """Max |tr(L_i R_j) - delta_ij| after the dual-basis solve, at two rates."""
     worst = 0.0
-    for cat in (
-        lindblad.catalog_dephasing_correlated(1.0),
-        lindblad.catalog_ad_correlated(1.0),
-    ):
-        worst = max(worst, lindblad.duality_residual(lindblad.dual_basis(cat)))
+    for rate in (1.0, 0.7):
+        for cat in (
+            lindblad.catalog_dephasing_correlated(rate),
+            lindblad.catalog_ad_correlated(rate),
+        ):
+            worst = max(worst, lindblad.duality_residual(lindblad.dual_basis(cat)))
     return _section("duality", 1e-10, worst)
 
 

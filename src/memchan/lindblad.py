@@ -15,11 +15,13 @@ The correlated dephasing map reduces to phase-flip Kraus operators with
 p = (1 - exp(-Gamma t)) / 2, and the correlated damping map to the damping
 Kraus pair with cos(chi) = exp(-alpha t / 2).
 
-Both routes share the Kraus side's row-major transfer-matrix representation
-(channels.transfer_matrix): the spectral map becomes spectral_matrix(cat, t)
-and the exponential route expm(t S).  kraus_equivalence compares those
-matrices directly, so the Kraus/Lindblad gap it reports is exact and holds
-for every input state, not just a random sample.
+Every map is a product with a row-major transfer matrix, the representation
+channels.apply uses for Kraus sets (channels.transfer_matrix):
+apply_generator is superoperator_matrix(spec) @ vec(pi), evolve is
+spectral_matrix(cat, t) @ vec(pi), and evolve_superoperator is
+expm(t S) @ vec(pi).  kraus_equivalence compares those matrices directly,
+so the Kraus/Lindblad gap it reports is exact and holds for every input
+state, not just a random sample.
 """
 
 from __future__ import annotations
@@ -100,15 +102,11 @@ def dephasing_uncorrelated_spec(gamma_rate: float) -> LindbladSpec:
 
 
 def apply_generator(spec: LindbladSpec, pi) -> np.ndarray:
-    """L(pi); the result is always traceless."""
+    """L(pi) = superoperator_matrix(spec) @ vec(pi); the result is always traceless."""
     pi = np.asarray(pi, dtype=complex)
     if pi.shape != (spec.dim, spec.dim):
         raise ValueError(f"state shape {pi.shape} does not match dim {spec.dim}")
-    out = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for rate, jump in spec.terms:
-        jdj = jump.conj().T @ jump
-        out += rate * (jump @ pi @ jump.conj().T - 0.5 * (jdj @ pi + pi @ jdj))
-    return out
+    return (superoperator_matrix(spec) @ pi.reshape(-1)).reshape(spec.dim, spec.dim)
 
 
 def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
@@ -256,35 +254,25 @@ def duality_residual(cat: EigenoperatorCatalog) -> float:
     """Max |tr(L_i R_j) - delta_ij| over all pairs (lefts must be populated)."""
     if cat.lefts is None:
         raise ValueError("catalog has no left operators; run dual_basis first")
-    worst = 0.0
-    for i, left in enumerate(cat.lefts):
-        for j, entry in enumerate(cat.entries):
-            want = 1.0 if i == j else 0.0
-            worst = max(worst, abs(complex(np.trace(left @ entry.right)) - want))
-    return worst
-
-
-def _check_evolvable(cat: EigenoperatorCatalog, t: float) -> None:
-    if cat.lefts is None:
-        raise ValueError("catalog has no left operators; run dual_basis first")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    rights = np.array([entry.right for entry in cat.entries])
+    traces = np.einsum("iab,jba->ij", np.array(cat.lefts), rights)
+    return float(np.max(np.abs(traces - np.eye(len(rights)))))
 
 
 def evolve(cat: EigenoperatorCatalog, t: float, pi: DensityMatrix) -> DensityMatrix:
-    """Spectral map: sum_i tr(L_i pi) exp(lambda_i t) R_i."""
-    _check_evolvable(cat, t)
-    out = np.zeros((cat.dim, cat.dim), dtype=complex)
-    for entry, left in zip(cat.entries, cat.lefts):
-        out += complex(np.trace(left @ pi.mat)) * math.exp(entry.eigenvalue * t) * entry.right
-    return DensityMatrix(out)
+    """Spectral map sum_i tr(L_i pi) exp(lambda_i t) R_i = spectral_matrix @ vec(pi)."""
+    out = spectral_matrix(cat, t) @ pi.mat.reshape(-1)
+    return DensityMatrix(out.reshape(cat.dim, cat.dim))
 
 
 def spectral_matrix(cat: EigenoperatorCatalog, t: float) -> np.ndarray:
     """Transfer matrix of the spectral map at time t, row-major like
     superoperator_matrix: sum_i exp(lambda_i t) vec(R_i) vec(L_i^T)^T,
     since tr(L_i pi) = vec(L_i^T) . vec(pi)."""
-    _check_evolvable(cat, t)
+    if cat.lefts is None:
+        raise ValueError("catalog has no left operators; run dual_basis first")
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t!r}")
     return sum(
         math.exp(entry.eigenvalue * t) * np.outer(entry.right.reshape(-1), left.T.reshape(-1))
         for entry, left in zip(cat.entries, cat.lefts)
@@ -295,8 +283,9 @@ def verify_eigen(spec: LindbladSpec, cat: EigenoperatorCatalog) -> list:
     """Per-entry residual ||L(R_i) - lambda_i R_i||_F."""
     if spec.dim != cat.dim:
         raise ValueError(f"generator dim {spec.dim} does not match catalog dim {cat.dim}")
+    s = superoperator_matrix(spec)
     return [
-        float(np.linalg.norm(apply_generator(spec, e.right) - e.eigenvalue * e.right))
+        float(np.linalg.norm(s @ e.right.reshape(-1) - e.eigenvalue * e.right.reshape(-1)))
         for e in cat.entries
     ]
 

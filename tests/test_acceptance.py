@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from memchan import channels, lindblad
+from memchan import channels, cli
 from memchan.capacity import (
     depolarizing_threshold_closed,
     i2_ad_closed,
@@ -120,60 +120,23 @@ def test_criterion_3_closed_form_numeric_equivalence():
 
 
 def test_criterion_4_eigenoperator_certification():
+    # memchan verify runs the same checks; both catalogs at rates 1.0 and 0.7
     with criterion(4, "eigenoperator residuals and duality", 1.0):
-        for rate in (1.0, 0.7):
-            dephasing = lindblad.catalog_dephasing_correlated(rate)
-            damping = lindblad.catalog_ad_correlated(rate)
-            assert (
-                max(lindblad.verify_eigen(lindblad.dephasing_correlated_spec(rate), dephasing))
-                <= 1e-12
-            )
-            assert (
-                max(lindblad.verify_eigen(lindblad.ad_correlated_spec(rate), damping)) <= 1e-12
-            )
-            for cat in (dephasing, damping):
-                assert lindblad.duality_residual(lindblad.dual_basis(cat)) <= 1e-10
+        for check, tol in ((cli.check_eigenoperators, 1e-12), (cli.check_duality, 1e-10)):
+            section = check()
+            assert section.threshold == tol
+            assert section.passed, section
 
 
 def test_criterion_5_kraus_lindblad_equivalence():
+    # exact transfer-matrix gaps: spectral evolution against the correlated
+    # Kraus channels, and the two-jump generator against uncorrelated dephasing
     with criterion(5, "spectral evolution matches Kraus channels", 2.0):
-        gamma = alpha = 1.0
-        dephasing_cat = lindblad.dual_basis(lindblad.catalog_dephasing_correlated(gamma))
-        damping_cat = lindblad.dual_basis(lindblad.catalog_ad_correlated(alpha))
-        for t in EQUIV_TIMES:
-            assert (
-                lindblad.kraus_equivalence(
-                    dephasing_cat,
-                    t,
-                    channels.dephasing_correlated_kraus,
-                    lambda tt: lindblad.dephasing_flip_probability(gamma, tt),
-                )
-                <= 1e-10
-            )
-            assert (
-                lindblad.kraus_equivalence(
-                    damping_cat,
-                    t,
-                    channels.ad_correlated_kraus2,
-                    lambda tt: lindblad.damping_angle(alpha, tt),
-                )
-                <= 1e-10
-            )
-
-        # the two-jump generator reproduces the uncorrelated dephasing channel
-        spec = lindblad.dephasing_uncorrelated_spec(gamma)
-        rng = np.random.default_rng(99)
-        for t in EQUIV_TIMES:
-            kraus = channels.dephasing_uncorrelated_kraus(
-                lindblad.dephasing_flip_probability(gamma, t)
-            )
-            for _ in range(5):
-                rho = random_density_matrix(4, rng)
-                gap = np.linalg.norm(
-                    lindblad.evolve_superoperator(spec, t, rho).mat
-                    - channels.apply(kraus, rho).mat
-                )
-                assert gap <= 1e-10
+        assert cli.EQUIVALENCE_TIMES == EQUIV_TIMES
+        for check in (cli.check_kraus_lindblad, cli.check_uncorrelated_dephasing):
+            section = check()
+            assert section.threshold == 1e-10
+            assert section.passed, section
 
 
 def test_criterion_6_cptp_suite():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from memchan import capacity
 from memchan.capacity import (
     InputEnsemble,
     depolarizing_threshold_closed,
@@ -147,6 +148,20 @@ def test_i2_dimension_mismatch():
     single = KrausSet(dim=2, ops=(np.eye(2, dtype=complex),))
     with pytest.raises(ValueError, match="dim"):
         mutual_information_numeric(single, theta_ensemble(0.0))
+
+
+@pytest.mark.parametrize("excess", [1e-13, 1e-9])
+def test_i2_negative_difference(monkeypatch, excess):
+    # the average output's entropy is taken first; each of the four outputs
+    # then reads `excess` more, so the difference is about -excess
+    entropies = iter([1.0] + [1.0 + excess] * 4)
+    monkeypatch.setattr(capacity, "von_neumann_entropy", lambda rho: next(entropies))
+    identity = KrausSet(dim=4, ops=(np.eye(4, dtype=complex),))
+    if excess < capacity.TERM_NEGATIVE_TOL:
+        assert mutual_information_numeric(identity, theta_ensemble(0.0)) == 0.0
+    else:
+        with pytest.raises(ArithmeticError, match="negative"):
+            mutual_information_numeric(identity, theta_ensemble(0.0))
 
 
 @pytest.mark.parametrize("family,param,mu,theta,expected", FROZEN_I2)

@@ -54,13 +54,15 @@ def test_density_matrix_rejects_non_hermitian():
         DensityMatrix(m)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_density_matrix_rejects_non_finite(bad):
-    # a non-finite coherence slips past the Hermitian and trace comparisons
-    # (nan > tol is False); only the eigensolver's finite check stops it
+@pytest.mark.parametrize(
+    "bad,cells",
+    [(np.nan, ((0, 1), (1, 0))), (np.inf, ((0, 1), (1, 0))), (np.inf, ((0, 1),))],
+    ids=["nan", "inf", "inf_one_sided"],
+)
+def test_density_matrix_rejects_non_finite(bad, cells):
     m = np.eye(2, dtype=complex) / 2
-    m[0, 1] = m[1, 0] = bad
+    for cell in cells:
+        m[cell] = bad
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(m)
 
@@ -353,8 +355,10 @@ def test_transfer_matrix_acts_like_apply():
         assert t.shape == (kraus.dim**2, kraus.dim**2)
         for _ in range(5):
             rho = random_density_matrix(kraus.dim, rng)
-            direct = apply(kraus, rho).mat.reshape(-1)
+            # apply() is a product with t, so the reference is the Kraus sum itself
+            direct = sum(op @ rho.mat @ op.conj().T for op in kraus.ops).reshape(-1)
             assert np.linalg.norm(t @ rho.mat.reshape(-1) - direct) <= 1e-12
+            assert np.linalg.norm(apply(kraus, rho).mat.reshape(-1) - direct) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,21 @@ def test_sweep_closed_numeric_delta_column(capsys):
         assert float(line.split(",")[6]) <= 1e-9
 
 
+def test_sweep_i2_numeric_is_never_negative(capsys):
+    # fully damped and memoryless, I2 is 0 up to rounding, which once printed
+    # as -1.60171325191e-16
+    code, out, _ = run_cli(
+        capsys,
+        "sweep",
+        "ad",
+        "0:0:1",
+        "1.5707963267948966:1.5707963267948966:1",
+        "1.1780972450961724:1.1780972450961724:1",
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split(",")[4] == "0"
+
+
 def test_sweep_dephasing_has_no_closed_form(capsys):
     code, out, _ = run_cli(capsys, "sweep", "dephasing", "0:1:2", "0.3:0.3:1", "0:0:1")
     assert code == EXIT_OK

@@ -8,11 +8,13 @@ import scipy.linalg
 from memchan import lindblad
 from memchan.channels import (
     ad_correlated_kraus2,
+    ad_uncorrelated_kraus2,
     apply,
     dephasing_correlated_kraus,
     dephasing_uncorrelated_kraus,
     pure_state,
     random_density_matrix,
+    transfer_matrix,
 )
 from memchan.lindblad import (
     LOWERING,
@@ -37,7 +39,7 @@ from memchan.lindblad import (
     superoperator_matrix,
     verify_eigen,
 )
-from memchan.linalg import SIGMA_X
+from memchan.linalg import IDENTITY_2, SIGMA_X
 
 EQUIV_TIMES = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -117,15 +119,24 @@ def test_superoperator_single_qubit_dephasing_diagonal():
     assert np.allclose(s, np.diag([0.0, -gamma, -gamma, 0.0]))
 
 
+def _jump_sum(spec, pi):
+    """L(pi) straight from the jump-operator formula, independent of S."""
+    out = np.zeros_like(pi)
+    for rate, jump in spec.terms:
+        jdj = jump.conj().T @ jump
+        out += rate * (jump @ pi @ jump.conj().T - 0.5 * (jdj @ pi + pi @ jdj))
+    return out
+
+
 def test_superoperator_matches_generator_on_random_states():
     rng = np.random.default_rng(2)
     for spec in ALL_SPECS:
         s = superoperator_matrix(spec)
         for _ in range(10):
             pi = random_density_matrix(spec.dim, rng).mat
-            lhs = s @ pi.reshape(-1)
-            rhs = apply_generator(spec, pi).reshape(-1)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12
+            want = _jump_sum(spec, pi)
+            assert np.linalg.norm(s @ pi.reshape(-1) - want.reshape(-1)) <= 1e-12
+            assert np.linalg.norm(apply_generator(spec, pi) - want) <= 1e-12
 
 
 def test_superoperator_spectrum_of_correlated_damping():
@@ -325,8 +336,13 @@ def test_spectral_matrix_acts_like_evolve():
         for t in (0.0, 0.4, 3.0):
             m = spectral_matrix(cat, t)
             rho = random_density_matrix(4, rng)
-            direct = evolve(cat, t, rho).mat.reshape(-1)
-            assert np.linalg.norm(m @ rho.mat.reshape(-1) - direct) <= 1e-12
+            # evolve() is a product with m, so the reference is the spectral sum
+            direct = sum(
+                np.trace(left @ rho.mat) * math.exp(e.eigenvalue * t) * e.right
+                for e, left in zip(cat.entries, cat.lefts)
+            )
+            assert np.linalg.norm(m @ rho.mat.reshape(-1) - direct.reshape(-1)) <= 1e-12
+            assert np.linalg.norm(evolve(cat, t, rho).mat - direct) <= 1e-12
 
 
 def test_spectral_matrix_matches_exponentiated_generator():
@@ -449,3 +465,16 @@ def test_uncorrelated_dephasing_time_grid(t):
             np.linalg.norm(evolve_superoperator(spec, t, rho).mat - apply(kraus, rho).mat),
         )
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_uncorrelated_damping_generator_matches_kraus(alpha):
+    # independent decay of each qubit: jumps sigma (x) I and I (x) sigma
+    spec = LindbladSpec(
+        dim=4,
+        terms=((alpha, np.kron(LOWERING, IDENTITY_2)), (alpha, np.kron(IDENTITY_2, LOWERING))),
+    )
+    s = superoperator_matrix(spec)
+    for t in EQUIV_TIMES:
+        kraus = ad_uncorrelated_kraus2(damping_angle(alpha, t))
+        assert np.linalg.norm(lindblad._expm(t * s) - transfer_matrix(kraus)) <= 1e-10
