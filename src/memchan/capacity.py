@@ -5,8 +5,9 @@ four-state ensemble that interpolates between product states (theta = 0)
 and Bell states (theta = pi/4).  It is computed two ways: numerically from
 the density-matrix pipeline (the ground truth), and from closed-form
 eigenvalue expressions for the depolarizing and amplitude-damping memory
-channels.  Threshold analysis locates the memory degree mu_t where the Bell
-ensemble starts to outperform the product ensemble.
+channels; the numeric I2 has a per-state form and a batched one (I2Kernel,
+i2_grid) with shared clamp rules.  Threshold analysis locates the memory
+degree mu_t where the Bell ensemble starts to outperform the product ensemble.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ import numpy as np
 
 from .channels import (
     AMPLITUDE_DAMPING,
-    DEPHASING,
-    DEPOLARIZING,
-    ChannelParams,
     DensityMatrix,
     KrausSet,
     _check_range,
     apply,
-    build_memory_channel,
+    density_spectra,
+    memory_branches,
     pure_state,
 )
 
@@ -55,7 +54,7 @@ class InputEnsemble:
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         for state in self.states:
-            purity = float(np.trace(state.mat @ state.mat).real)
+            purity = float(np.einsum("ij,ji->", state.mat, state.mat).real)
             if abs(purity - 1.0) > PURITY_TOL:
                 raise ValueError(f"ensemble states must be pure, got purity {purity!r}")
         object.__setattr__(self, "probs", probs)
@@ -83,14 +82,29 @@ def theta_ensemble(theta: float) -> InputEnsemble:
     return InputEnsemble(probs=(0.25, 0.25, 0.25, 0.25), states=states)
 
 
+def _entropy_bits(spectra) -> np.ndarray:
+    """-sum lam log2 lam over the last axis: each eigenvalue is clamped into
+    [0, 1], and one at or below TERM_CLAMP counts as 0 (0 log 0 = 0)."""
+    lam = np.clip(spectra, 0.0, 1.0)
+    kept = lam > TERM_CLAMP
+    return np.sum(np.where(kept, -lam * np.log2(np.where(kept, lam, 1.0)), 0.0), axis=-1)
+
+
+def _holevo(s_avg, s_outputs, probs) -> np.ndarray:
+    """S(avg) - sum_i q_i S(output_i), elementwise.  I2 is never negative: a
+    difference in [-TERM_NEGATIVE_TOL, 0) is rounding and reads 0, and one
+    below it raises ArithmeticError."""
+    holevo = s_avg
+    for q, s in zip(probs, s_outputs):
+        holevo = holevo - q * s
+    if np.any(holevo < -TERM_NEGATIVE_TOL):
+        raise ArithmeticError(f"I2 {float(np.min(holevo))!r} is negative beyond tolerance")
+    return np.where(holevo > 0.0, holevo, 0.0)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho) in bits, with the 0 log 0 = 0 convention."""
-    total = 0.0
-    for lam in rho.eigenvalues:
-        lam = min(max(float(lam), 0.0), 1.0)
-        if lam > TERM_CLAMP:
-            total -= lam * math.log2(lam)
-    return total
+    return float(_entropy_bits(rho.eigenvalues))
 
 
 def mutual_information_numeric(kraus: KrausSet, ensemble: InputEnsemble) -> float:
@@ -101,12 +115,51 @@ def mutual_information_numeric(kraus: KrausSet, ensemble: InputEnsemble) -> floa
         )
     outputs = [apply(kraus, state) for state in ensemble.states]
     avg = sum(q * out.mat for q, out in zip(ensemble.probs, outputs))
-    holevo = von_neumann_entropy(DensityMatrix(avg))
-    for q, out in zip(ensemble.probs, outputs):
-        holevo -= q * von_neumann_entropy(out)
-    if holevo < -TERM_NEGATIVE_TOL:
-        raise ArithmeticError(f"I2 {holevo!r} is negative beyond tolerance")
-    return holevo if holevo > 0.0 else 0.0
+    s_avg = von_neumann_entropy(DensityMatrix(avg))
+    return float(_holevo(s_avg, [von_neumann_entropy(out) for out in outputs], ensemble.probs))
+
+
+class I2Kernel:
+    """Numeric I2 of one family's memory channel on a (param, theta) grid,
+    one memory degree mu at a time.
+
+    The mixture is affine in mu, T(mu) = (1 - mu) T_unc + mu T_cor, so each
+    ensemble output is (1 - mu) T_unc vec(rho) + mu T_cor vec(rho), from two
+    branch outputs computed once per parameter.  Both branches must be trace
+    preserving, which makes every mixture so.  Each slice checks its outputs
+    and ensemble averages as density matrices (density_spectra) and takes
+    all their spectra with one eigvalsh call.  Agrees with
+    mutual_information_numeric to rounding.
+    """
+
+    def __init__(self, family: str, params, thetas):
+        ensembles = [theta_ensemble(float(theta)) for theta in thetas]
+        # (state, theta) weights and (theta, state, 16) vectorized input states
+        self._probs = np.reshape([e.probs for e in ensembles], (len(thetas), 4)).T
+        inputs = np.reshape([[s.mat for s in e.states] for e in ensembles], (len(thetas), 4, 16))
+        branches = [b for param in params for b in memory_branches(family, float(param))]
+        for branch in branches:
+            branch.require_trace_preserving()
+        pairs = np.reshape([b.transfer for b in branches], (len(params), 2, 16, 16))
+        # (param, theta, state, 16) outputs of the uncorrelated and correlated branches
+        self._unc = np.einsum("pij,tsj->ptsi", pairs[:, 0], inputs)
+        self._cor = np.einsum("pij,tsj->ptsi", pairs[:, 1], inputs)
+
+    def at(self, mu: float) -> np.ndarray:
+        """I2[param, theta] at memory degree mu."""
+        _check_range("mu", mu, 0.0, 1.0)
+        outputs = (1.0 - mu) * self._unc + mu * self._cor
+        avg = sum(q[:, None] * outputs[:, :, i] for i, q in enumerate(self._probs))
+        stack = np.concatenate((outputs, avg[:, :, None]), axis=2)
+        entropies = _entropy_bits(density_spectra(stack.reshape(stack.shape[:3] + (4, 4))))
+        return _holevo(entropies[..., 4], np.moveaxis(entropies[..., :4], -1, 0), self._probs)
+
+
+def i2_grid(family: str, mus, params, thetas) -> np.ndarray:
+    """I2[mu, param, theta] of a family's memory channel, one mu slice at a time."""
+    kernel = I2Kernel(family, params, thetas)
+    slices = [kernel.at(float(mu)) for mu in mus]
+    return np.array(slices).reshape(len(mus), len(params), len(thetas))
 
 
 @dataclass(frozen=True)
@@ -241,22 +294,20 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
     """Bisection on g(mu) = I2(Bell) - I2(product) over mu in [0, 1].
 
     Seeds 17 equally spaced points; the first sign-change bracket is refined
-    until its width drops to tol.  A seed whose gap is inside the noise floor
-    has no sign, so when its neighbours disagree in sign it is a root on the
-    grid and they form the bracket; a midpoint with an exactly zero gap ends
-    the bisection there.  Returns mu_t = None when no sign change exists on
-    the seed grid.
+    until its width drops to tol, or until its ends are adjacent doubles and
+    no midpoint lies strictly between them.  A seed whose gap is inside the
+    noise floor has no sign, so when its neighbours disagree in sign it is a
+    root on the grid and they form the bracket; a midpoint with an exactly
+    zero gap ends the bisection there.  Returns mu_t = None when no sign
+    change exists on the seed grid.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    bell = theta_ensemble(math.pi / 4)
-    product = theta_ensemble(0.0)
+    kernel = I2Kernel(family, [param], [math.pi / 4, 0.0])
 
     def gap(mu: float) -> float:
-        kraus = build_memory_channel(ChannelParams.for_family(family, param, mu))
-        return mutual_information_numeric(kraus, bell) - mutual_information_numeric(
-            kraus, product
-        )
+        bell, product = kernel.at(mu)[0].tolist()
+        return bell - product
 
     seeds = [i / (THRESHOLD_SEEDS - 1) for i in range(THRESHOLD_SEEDS)]
     # values at the numerical-noise level carry no sign information
@@ -276,6 +327,8 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         g_mid = gap(mid)
         iterations += 1
         if g_mid == 0.0:
@@ -294,17 +347,7 @@ def product_memory_inequality(chi_grid) -> list:
 
     Returns (chi, lhs, rhs, holds) rows with holds = lhs >= rhs - slack.
     """
-    product = theta_ensemble(0.0)
-    rows = []
-    for chi in chi_grid:
-        chi = float(chi)
-        lhs = mutual_information_numeric(
-            build_memory_channel(ChannelParams(which=AMPLITUDE_DAMPING, mu=1.0, chi=chi)),
-            product,
-        )
-        rhs = mutual_information_numeric(
-            build_memory_channel(ChannelParams(which=AMPLITUDE_DAMPING, mu=0.0, chi=chi)),
-            product,
-        )
-        rows.append((chi, lhs, rhs, lhs >= rhs - INEQUALITY_SLACK))
-    return rows
+    chis = [float(chi) for chi in chi_grid]
+    kernel = I2Kernel(AMPLITUDE_DAMPING, chis, [0.0])
+    lhs, rhs = (kernel.at(mu)[:, 0].tolist() for mu in (1.0, 0.0))
+    return [(chi, l, r, l >= r - INEQUALITY_SLACK) for chi, l, r in zip(chis, lhs, rhs)]

@@ -39,11 +39,31 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> None:
         raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
 
 
+def density_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a density matrix, or of each in a (..., d, d) stack
+    (one eigvalsh call), after checking in turn that every matrix is finite,
+    Hermitian, unit trace and positive semidefinite at DENSITY_TOL."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("density matrix has non-finite entries")
+    herm = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(herm > DENSITY_TOL):
+        raise ValueError(f"matrix is not Hermitian: residual {float(herm.max()):.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if np.any(off > DENSITY_TOL):
+        raise ValueError(f"trace must be 1, got {complex(tr.flat[np.argmax(off)]):.12g}")
+    spectra = linalg.hermitian_eigen(m)
+    lowest = float(spectra[..., 0].min(initial=0.0))
+    if lowest < -DENSITY_TOL:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lowest:.3e}")
+    return spectra
+
+
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix of dimension 2 or 4.
 
-    Validation happens on construction; the spectrum computed for the
-    positivity check is kept (ascending) for entropy evaluation.
+    Validation happens on construction (density_spectra); the spectrum
+    computed for the positivity check is kept (ascending) for entropies.
     """
 
     __slots__ = ("mat", "eigenvalues")
@@ -54,19 +74,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] not in (2, 4):
             raise ValueError(f"unsupported dimension {m.shape[0]}, expected 2 or 4")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix has non-finite entries")
-        herm = float(np.linalg.norm(m - m.conj().T))
-        if herm > DENSITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: residual {herm:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > DENSITY_TOL:
-            raise ValueError(f"trace must be 1, got {tr:.12g}")
-        spectrum = linalg.hermitian_eigen(m)
-        if spectrum[0] < -DENSITY_TOL:
-            raise ValueError(
-                f"matrix is not positive semidefinite: min eigenvalue {spectrum[0]:.3e}"
-            )
+        spectrum = density_spectra(m)
         m.flags.writeable = False
         self.mat = m
         self.eigenvalues = spectrum
@@ -121,7 +129,8 @@ class KrausSet:
 
     @cached_property
     def completeness_residual(self) -> float:
-        total = sum(op.conj().T @ op for op in self.ops)
+        ops = np.array(self.ops)
+        total = np.einsum("kji,kjl->il", ops.conj(), ops)
         return float(np.linalg.norm(total - np.eye(self.dim)))
 
     @cached_property
@@ -130,6 +139,11 @@ class KrausSet:
         t = np.einsum("kij,kab->iajb", ops, ops.conj()).reshape(self.dim**2, self.dim**2)
         t.flags.writeable = False
         return t
+
+    def require_trace_preserving(self) -> None:
+        """Raise ValueError when the completeness residual exceeds CPTP_APPLY_TOL."""
+        if (residual := self.completeness_residual) > CPTP_APPLY_TOL:
+            raise ValueError(f"Kraus set is not trace preserving: residual {residual:.3e}")
 
 
 def check_cptp(kraus: KrausSet) -> float:
@@ -260,25 +274,22 @@ def memory_channel(unc: KrausSet, cor: KrausSet, mu: float) -> KrausSet:
     return KrausSet(dim=unc.dim, ops=ops)
 
 
+def memory_branches(which: str, param: float) -> tuple:
+    """The (uncorrelated, correlated) two-use Kraus sets of a family at its
+    scalar parameter, chi for amplitude damping and p otherwise."""
+    if which == AMPLITUDE_DAMPING:
+        return ad_uncorrelated_kraus2(param), ad_correlated_kraus2(param)
+    if which == DEPHASING:
+        return dephasing_uncorrelated_kraus(param), dephasing_correlated_kraus(param)
+    if which == DEPOLARIZING:
+        return depolarizing_uncorrelated_kraus2(param), depolarizing_correlated_kraus2(param)
+    raise ValueError(f"unknown channel family {which!r}")
+
+
 def build_memory_channel(params: ChannelParams) -> KrausSet:
     """The two-use partial-memory channel selected by a parameter bundle."""
-    if params.which == AMPLITUDE_DAMPING:
-        return memory_channel(
-            ad_uncorrelated_kraus2(params.chi), ad_correlated_kraus2(params.chi), params.mu
-        )
-    if params.which == DEPHASING:
-        return memory_channel(
-            dephasing_uncorrelated_kraus(params.p),
-            dephasing_correlated_kraus(params.p),
-            params.mu,
-        )
-    if params.which == DEPOLARIZING:
-        return memory_channel(
-            depolarizing_uncorrelated_kraus2(params.p),
-            depolarizing_correlated_kraus2(params.p),
-            params.mu,
-        )
-    raise ValueError(f"unknown channel family {params.which!r}")
+    param = params.chi if params.which == AMPLITUDE_DAMPING else params.p
+    return memory_channel(*memory_branches(params.which, param), params.mu)
 
 
 def transfer_matrix(kraus: KrausSet) -> np.ndarray:
@@ -291,8 +302,6 @@ def apply(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """Channel action sum_k K rho K*, as transfer_matrix(kraus) @ vec(rho)."""
     if kraus.dim != rho.dim:
         raise ValueError(f"channel dim {kraus.dim} does not match state dim {rho.dim}")
-    residual = kraus.completeness_residual
-    if residual > CPTP_APPLY_TOL:
-        raise ValueError(f"Kraus set is not trace preserving: residual {residual:.3e}")
+    kraus.require_trace_preserving()
     out = transfer_matrix(kraus) @ rho.mat.reshape(-1)
     return DensityMatrix(out.reshape(kraus.dim, kraus.dim))

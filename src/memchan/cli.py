@@ -90,70 +90,40 @@ def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> 
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepRow:
-    channel: str
-    mu: float
-    param: float
-    theta: float
-    i2_numeric: float
-    i2_closed: float | None
+class Sweep:
+    """I2[mu, param, theta] on a grid: numeric, and closed form where the
+    family has one (None for dephasing)."""
 
-    @property
-    def delta(self) -> float | None:
-        if self.i2_closed is None:
-            return None
-        return abs(self.i2_numeric - self.i2_closed)
-
-    def to_csv(self) -> str:
-        closed = "" if self.i2_closed is None else _fmt(self.i2_closed)
-        delta = "" if self.delta is None else _fmt(self.delta)
-        return ",".join(
-            (
-                self.channel,
-                _fmt(self.mu),
-                _fmt(self.param),
-                _fmt(self.theta),
-                _fmt(self.i2_numeric),
-                closed,
-                delta,
-            )
-        )
+    tag: str
+    mus: list
+    params: list
+    thetas: list
+    numeric: np.ndarray
+    closed: np.ndarray | None
 
 
-def _closed_form_for(tag: str, param: float, mu: float, theta: float) -> float | None:
-    if tag == "ad":
-        return capacity.i2_ad_closed(param, mu, theta)[0]
-    if tag == "dp":
-        return capacity.i2_depolarizing_closed(param, mu, theta)[0]
-    return None
+def compute_sweep(tag: str, mus: list, params: list, thetas: list) -> Sweep:
+    numeric = capacity.i2_grid(CHANNEL_TAGS[tag], mus, params, thetas)
+    # looked up at call time, so a wrapped or patched closed form is the one used
+    form = {"ad": capacity.i2_ad_closed, "dp": capacity.i2_depolarizing_closed}.get(tag)
+    closed = None if form is None else np.reshape(
+        [form(param, mu, theta)[0] for mu in mus for param in params for theta in thetas],
+        numeric.shape,
+    )
+    return Sweep(tag, mus, params, thetas, numeric, closed)
 
 
-def compute_sweep(tag: str, mus: list, params: list, thetas: list) -> list:
-    family = CHANNEL_TAGS[tag]
-    ensembles = {theta: capacity.theta_ensemble(theta) for theta in thetas}
-    rows = []
-    for mu in mus:
-        for param in params:
-            kraus = channels.build_memory_channel(
-                channels.ChannelParams.for_family(family, param, mu)
-            )
-            for theta in thetas:
-                i2n = capacity.mutual_information_numeric(kraus, ensembles[theta])
-                rows.append(
-                    SweepRow(
-                        channel=tag,
-                        mu=mu,
-                        param=param,
-                        theta=theta,
-                        i2_numeric=i2n,
-                        i2_closed=_closed_form_for(tag, param, mu, theta),
-                    )
-                )
-    return rows
-
-
-def sweep_csv(rows: list) -> str:
-    return "\n".join([SWEEP_HEADER] + [row.to_csv() for row in rows]) + "\n"
+def sweep_csv(sweep: Sweep, out) -> None:
+    """Write the sweep as CSV to a text handle, one row at a time; delta is
+    |i2_numeric - i2_closed|, and both closed-form columns are empty without one."""
+    out.write(SWEEP_HEADER + "\n")
+    for (i, j, k), numeric in np.ndenumerate(sweep.numeric):
+        tail = ","
+        if sweep.closed is not None:
+            closed = sweep.closed[i, j, k]
+            tail = f"{_fmt(closed)},{_fmt(abs(numeric - closed))}"
+        point = (sweep.mus[i], sweep.params[j], sweep.thetas[k], numeric)
+        out.write(",".join([sweep.tag, *map(_fmt, point), tail]) + "\n")
 
 
 def cmd_sweep(args) -> int:
@@ -161,12 +131,13 @@ def cmd_sweep(args) -> int:
     mus = parse_range_spec(args.mu_spec, "mu_spec", 0.0, 1.0)
     params = parse_range_spec(args.param_spec, "param_spec", lo, hi)
     thetas = parse_range_spec(args.theta_spec, "theta_spec", 0.0, math.pi / 2)
-    text = sweep_csv(compute_sweep(args.channel, mus, params, thetas))
+    # every value is computed before any output opens, so a failure writes nothing
+    sweep = compute_sweep(args.channel, mus, params, thetas)
     if args.out is None:
-        sys.stdout.write(text)
+        sweep_csv(sweep, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            sweep_csv(sweep, fh)
     return EXIT_OK
 
 
@@ -320,8 +291,8 @@ def check_closed_forms() -> CheckSection:
     worst = 0.0
     for tag, lo_hi in (("ad", (0.0, math.pi / 2)), ("dp", (0.0, 1.0))):
         params = [lo_hi[0] + (lo_hi[1] - lo_hi[0]) * i / 10 for i in range(11)]
-        for row in compute_sweep(tag, mus, params, thetas):
-            worst = max(worst, row.delta)
+        sweep = compute_sweep(tag, mus, params, thetas)
+        worst = max(worst, float(np.abs(sweep.numeric - sweep.closed).max()))
     return _section("closed_form_vs_numeric", 1e-9, worst)
 
 

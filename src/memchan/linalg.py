@@ -1,5 +1,5 @@
 """Pauli constants and two validated numpy solves.  Both refuse non-square or
-non-finite input; ``hermitian_eigen`` also refuses a non-Hermitian matrix, and
+non-finite input; ``hermitian_eigen`` also a non-Hermitian matrix or stack, and
 ``solve_linear`` one that is singular to a relative tolerance, where numpy
 rejects only an exact zero pivot."""
 
@@ -21,9 +21,9 @@ SIGMA_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
 PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _finite_square(a) -> np.ndarray:
+def _finite_square(a, stacked: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
@@ -31,11 +31,14 @@ def _finite_square(a) -> np.ndarray:
 
 
 def hermitian_eigen(a, tol: float = RESIDUAL_TOL) -> np.ndarray:
-    """Ascending eigenvalues (read-only) of a Hermitian matrix."""
-    a = _finite_square(a)
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > tol * max(1.0, float(np.linalg.norm(a))):
-        raise ValueError(f"matrix is not Hermitian: ||a - a*||_F = {defect:.3e}")
+    """Ascending eigenvalues (read-only) of a Hermitian matrix, or of each
+    matrix in a (..., n, n) stack, which is solved by one eigvalsh call."""
+    a = _finite_square(a, stacked=True)
+    defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    excess = defect - tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(excess > 0.0):
+        worst = float(defect.flat[np.argmax(excess)])
+        raise ValueError(f"matrix is not Hermitian: ||a - a*||_F = {worst:.3e}")
     return _readonly(np.linalg.eigvalsh(a))
 
 

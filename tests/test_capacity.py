@@ -1,14 +1,17 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
-from memchan import capacity
+from memchan import capacity, channels
 from memchan.capacity import (
+    I2Kernel,
     InputEnsemble,
     depolarizing_threshold_closed,
     i2_ad_closed,
     i2_depolarizing_closed,
+    i2_grid,
     mutual_information_numeric,
     product_memory_inequality,
     theta_ensemble,
@@ -162,6 +165,90 @@ def test_i2_negative_difference(monkeypatch, excess):
     else:
         with pytest.raises(ArithmeticError, match="negative"):
             mutual_information_numeric(identity, theta_ensemble(0.0))
+
+
+# ----------------------------------------------------------------------
+# batched I2 kernel
+# ----------------------------------------------------------------------
+
+EDGE_MUS = [0.0, 0.35, 1.0]
+EDGE_THETAS = [0.0, PI / 8, PI / 4, 3 * PI / 8, PI / 2]
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        (AMPLITUDE_DAMPING, [0.0, 0.7, PI / 2]),
+        (DEPHASING, [0.0, 0.4, 1.0]),
+        (DEPOLARIZING, [0.0, 0.4, 0.75, 1.0]),
+    ],
+    ids=["ad", "dephasing", "dp"],
+)
+def test_i2_grid_matches_scalar_reference(family, params):
+    grid = i2_grid(family, EDGE_MUS, params, EDGE_THETAS)
+    assert grid.shape == (len(EDGE_MUS), len(params), len(EDGE_THETAS))
+    for i, mu in enumerate(EDGE_MUS):
+        for j, param in enumerate(params):
+            kraus = family_channel(family, param, mu)
+            for k, theta in enumerate(EDGE_THETAS):
+                ref = mutual_information_numeric(kraus, theta_ensemble(theta))
+                assert abs(grid[i, j, k] - ref) <= 1e-12, (family, mu, param, theta)
+
+
+@pytest.mark.parametrize("mu", [-0.1, 1.0 + 1e-9, math.nan])
+def test_i2_kernel_rejects_mu_outside_unit_interval(mu):
+    kernel = I2Kernel(AMPLITUDE_DAMPING, [0.5], [0.0])
+    with pytest.raises(ValueError, match="mu"):
+        kernel.at(mu)
+    with pytest.raises(ValueError, match="mu"):
+        i2_grid(DEPOLARIZING, [0.5, mu], [0.3], [0.0])
+
+
+def test_i2_kernel_rejects_branch_that_is_not_trace_preserving(monkeypatch):
+    original = channels.ad_correlated_kraus2
+
+    def leaky(chi):
+        e00, e11 = (op.copy() for op in original(chi).ops)
+        e11[3, 0] *= 1.001
+        return KrausSet(dim=4, ops=(e00, e11))
+
+    monkeypatch.setattr(channels, "ad_correlated_kraus2", leaky)
+    residual = leaky(0.9).completeness_residual
+    assert residual > channels.CPTP_APPLY_TOL
+    with pytest.raises(ValueError, match=f"not trace preserving: residual {residual:.3e}"):
+        I2Kernel(AMPLITUDE_DAMPING, [0.9], [0.0])
+
+
+def test_i2_kernel_rejects_outputs_that_are_not_states(monkeypatch):
+    # the partial transpose on the second qubit preserves the trace but maps
+    # a Bell state to a matrix with eigenvalue -1/2
+    partial_transpose = np.zeros((16, 16))
+    for a, b, c, d in np.ndindex(2, 2, 2, 2):
+        partial_transpose[(2 * a + d) * 4 + 2 * c + b, (2 * a + b) * 4 + 2 * c + d] = 1.0
+    branch = types.SimpleNamespace(
+        require_trace_preserving=lambda: None, transfer=partial_transpose
+    )
+    monkeypatch.setattr(capacity, "memory_branches", lambda family, param: (branch, branch))
+    kernel = I2Kernel(DEPHASING, [0.3], [0.0, PI / 4])
+    with pytest.raises(ValueError, match="positive semidefinite: min eigenvalue -5.000e-01"):
+        kernel.at(0.5)
+
+
+@pytest.mark.parametrize("excess", [1e-13, 1e-9])
+def test_i2_kernel_negative_difference(monkeypatch, excess):
+    # as in test_i2_negative_difference: each of the four outputs reads
+    # `excess` more entropy than the ensemble average, the last of the five
+    # spectra the kernel takes per grid point
+    def entropies(spectra):
+        return np.where(np.arange(5) < 4, 1.0 + excess, 1.0) * np.ones(spectra.shape[:-1])
+
+    monkeypatch.setattr(capacity, "_entropy_bits", entropies)
+    kernel = I2Kernel(DEPHASING, [0.2, 0.6], [0.0, PI / 4])
+    if excess < capacity.TERM_NEGATIVE_TOL:
+        assert np.all(kernel.at(0.5) == 0.0)
+    else:
+        with pytest.raises(ArithmeticError, match="negative"):
+            kernel.at(0.5)
 
 
 @pytest.mark.parametrize("family,param,mu,theta,expected", FROZEN_I2)
@@ -319,6 +406,29 @@ def test_threshold_numeric_rejects_bad_inputs():
         threshold_numeric("bogus", 0.3, 1e-6)
     with pytest.raises(ValueError):
         threshold_numeric(AMPLITUDE_DAMPING, 0.3, 0.0)
+
+
+def test_threshold_stops_on_adjacent_doubles(monkeypatch):
+    # a gap of +-1 around 1/3 is never exactly 0, so once the bracket ends
+    # are adjacent doubles only the midpoint test can end the bisection
+    evaluations = []
+
+    class SignKernel:
+        def __init__(self, family, params, thetas):
+            assert list(thetas) == [PI / 4, 0.0]
+
+        def at(self, mu):
+            evaluations.append(mu)
+            if len(evaluations) > 2000:
+                raise RuntimeError("bisection does not terminate")
+            return np.array([[1.0 if mu > 1.0 / 3.0 else -1.0, 0.0]])
+
+    monkeypatch.setattr(capacity, "I2Kernel", SignKernel)
+    result = threshold_numeric(DEPOLARIZING, 0.3, 1e-300)
+    lo, hi = result.bracket
+    assert lo <= 1.0 / 3.0 < hi
+    assert hi == np.nextafter(lo, 1.0)
+    assert result.iterations == len(evaluations) - 17
 
 
 def test_threshold_bracket_has_sign_change():

@@ -77,6 +77,23 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_density_spectra_checks_every_matrix_of_a_stack():
+    good = np.array([np.eye(4) / 4, np.diag([1.0, 0, 0, 0])], dtype=complex)
+    assert np.allclose(channels.density_spectra(good), [[0.25] * 4, [0, 0, 0, 1]])
+    not_hermitian = np.diag([1.0, 0, 0, 0]).astype(complex)
+    not_hermitian[0, 1] = 1e-6
+    for message, second in (
+        ("non-finite", np.diag([np.nan, 1.0, 0, 0])),
+        ("not Hermitian: residual 1.414e-06", not_hermitian),  # sqrt(2) * 1e-6
+        ("trace must be 1, got 1.001", np.diag([1.0, 0, 0, 1e-3])),
+        ("min eigenvalue -2.000e-01", np.diag([1.2, -0.2, 0, 0])),
+    ):
+        bad = good.copy()
+        bad[1] = second
+        with pytest.raises(ValueError, match=message):
+            channels.density_spectra(bad)
+
+
 def test_density_matrix_rejects_odd_dimensions():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(3) / 3)

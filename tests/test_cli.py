@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import memchan
-from memchan import channels, cli, lindblad
+from memchan import capacity, channels, cli, lindblad
 from memchan.capacity import depolarizing_threshold_closed
 from memchan.cli import (
     EXIT_IO,
@@ -131,6 +131,40 @@ def test_sweep_output_is_deterministic_and_round_trips(capsys, tmp_path):
         for field in line.split(",")[1:]:
             if field:
                 assert f"{float(field):.12g}" == field
+
+
+@pytest.mark.parametrize("tag", ["ad", "dephasing", "dp"])
+def test_sweep_out_file_matches_stdout(capsys, tmp_path, tag):
+    args = ("sweep", tag, "0:1:4", "0:0.9:3", "0:1.5707963267948966:3")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    path = tmp_path / f"{tag}.csv"
+    assert run_cli(capsys, *args, "--out", str(path)) == (EXIT_OK, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4 * 3 * 3
+    assert all(row.endswith(",,") for row in rows) == (tag == "dephasing")
+
+
+@pytest.mark.parametrize("out_file", [False, True], ids=["stdout", "out"])
+def test_sweep_failure_writes_nothing(capsys, tmp_path, monkeypatch, out_file):
+    # the kernel fails on the third memory degree, after two slices succeeded
+    original = capacity.I2Kernel.at
+    calls = []
+
+    def failing(self, mu):
+        calls.append(mu)
+        if len(calls) == 3:
+            raise ArithmeticError("kernel failure")
+        return original(self, mu)
+
+    monkeypatch.setattr(capacity.I2Kernel, "at", failing)
+    path = tmp_path / "sweep.csv"
+    argv = ["sweep", "ad", "0:1:5", "0.2:0.4:2", "0:0.7:2"]
+    with pytest.raises(ArithmeticError, match="kernel failure"):
+        cli.main(argv + (["--out", str(path)] if out_file else []))
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
 
 
 def test_sweep_unwritable_path(capsys):

@@ -52,6 +52,25 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_eigen_stack_matches_each_matrix():
+    rng = np.random.default_rng(7)
+    g = random_complex(rng, (3, 2, 4, 4))
+    stack = g + g.conj().swapaxes(-1, -2)
+    w = hermitian_eigen(stack)
+    assert w.shape == (3, 2, 4)
+    assert not w.flags.writeable
+    for index in np.ndindex(3, 2):
+        assert np.array_equal(w[index], hermitian_eigen(stack[index]))
+
+
+def test_eigen_stack_rejects_one_non_hermitian_matrix():
+    stack = np.array([np.eye(2), SIGMA_X, np.eye(2)], dtype=complex)
+    stack[2, 0, 1] = 0.5
+    # only the third matrix is off, by ||a - a*||_F = sqrt(2) * 0.5
+    with pytest.raises(ValueError, match="Hermitian: .* = 7.071e-01"):
+        hermitian_eigen(stack)
+
+
 def test_eigen_rejects_non_square():
     with pytest.raises(ValueError):
         hermitian_eigen(np.ones((2, 3), dtype=complex))
