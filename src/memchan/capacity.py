@@ -19,12 +19,13 @@ import numpy as np
 
 from .channels import (
     AMPLITUDE_DAMPING,
+    CPTP_APPLY_TOL,
     DensityMatrix,
     KrausSet,
     _check_range,
     apply,
     density_spectra,
-    memory_branches,
+    memory_branch_bound,
     pure_state,
 )
 
@@ -125,11 +126,11 @@ class I2Kernel:
 
     The mixture is affine in mu, T(mu) = (1 - mu) T_unc + mu T_cor, so each
     ensemble output is (1 - mu) T_unc vec(rho) + mu T_cor vec(rho), from two
-    branch outputs computed once per parameter.  Both branches must be trace
-    preserving, which makes every mixture so.  Each slice checks its outputs
-    and ensemble averages as density matrices (density_spectra) and takes
-    all their spectra with one eigvalsh call.  Agrees with
-    mutual_information_numeric to rounding.
+    branch outputs computed once per parameter.  The branch bound
+    (memory_branch_bound) must be within CPTP_APPLY_TOL, which makes every
+    mixture a channel.  Each slice checks its outputs and ensemble averages
+    as density matrices (density_spectra) and takes all their spectra with
+    one eigvalsh call.  Agrees with mutual_information_numeric to rounding.
     """
 
     def __init__(self, family: str, params, thetas):
@@ -137,10 +138,13 @@ class I2Kernel:
         # (state, theta) weights and (theta, state, 16) vectorized input states
         self._probs = np.reshape([e.probs for e in ensembles], (len(thetas), 4)).T
         inputs = np.reshape([[s.mat for s in e.states] for e in ensembles], (len(thetas), 4, 16))
-        branches = [b for param in params for b in memory_branches(family, float(param))]
-        for branch in branches:
-            branch.require_trace_preserving()
-        pairs = np.reshape([b.transfer for b in branches], (len(params), 2, 16, 16))
+        pairs = []
+        for param in params:
+            bound, branches = memory_branch_bound(family, float(param))
+            if bound > CPTP_APPLY_TOL:
+                raise ValueError(f"memory branches are not trace preserving: residual {bound:.3e}")
+            pairs.append([b.transfer for b in branches])
+        pairs = np.reshape(pairs, (len(params), 2, 16, 16))
         # (param, theta, state, 16) outputs of the uncorrelated and correlated branches
         self._unc = np.einsum("pij,tsj->ptsi", pairs[:, 0], inputs)
         self._cor = np.einsum("pij,tsj->ptsi", pairs[:, 1], inputs)
@@ -282,12 +286,25 @@ def depolarizing_threshold_closed(eta: float) -> float:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection outcome for the Bell-vs-product crossover in mu."""
+    """Bisection outcome for the Bell-vs-product crossover in mu; reason says
+    why mu_t is None (see threshold_numeric) and is None when it is not."""
 
     chi_or_p: float
     mu_t: float | None
     bracket: tuple
     iterations: int
+    reason: str | None = None
+
+
+def _null_reason(raw: list, gaps: list) -> str:
+    """Why seed gaps without a sign-change bracket hold no threshold: "edge"
+    when the gap is inside the noise floor at mu = 0 and has one sign at
+    every other seed, "below_noise_floor" when the raw gaps change sign only
+    next to a seed whose gap is inside the floor, and "none" when they never
+    change sign."""
+    if gaps[0] == 0.0 and (min(gaps[1:]) > 0.0 or max(gaps[1:]) < 0.0):
+        return "edge"
+    return "below_noise_floor" if min(raw) < 0.0 < max(raw) else "none"
 
 
 def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
@@ -299,7 +316,8 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
     noise floor has no sign, so when its neighbours disagree in sign it is a
     root on the grid and they form the bracket; a midpoint with an exactly
     zero gap ends the bisection there.  Returns mu_t = None when no sign
-    change exists on the seed grid.
+    change exists on the seed grid, with a reason: "edge",
+    "below_noise_floor" or "none" (_null_reason).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -310,8 +328,9 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
         return bell - product
 
     seeds = [i / (THRESHOLD_SEEDS - 1) for i in range(THRESHOLD_SEEDS)]
+    raw = [gap(mu) for mu in seeds]
     # values at the numerical-noise level carry no sign information
-    gaps = [g if abs(g) > THRESHOLD_NOISE_FLOOR else 0.0 for g in (gap(mu) for mu in seeds)]
+    gaps = [g if abs(g) > THRESHOLD_NOISE_FLOOR else 0.0 for g in raw]
     bracket = None
     for i in range(1, THRESHOLD_SEEDS):
         if gaps[i - 1] * gaps[i] < 0.0:
@@ -321,7 +340,13 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
         if bracket is not None:
             break
     if bracket is None:
-        return ThresholdResult(chi_or_p=param, mu_t=None, bracket=(0.0, 1.0), iterations=0)
+        return ThresholdResult(
+            chi_or_p=param,
+            mu_t=None,
+            bracket=(0.0, 1.0),
+            iterations=0,
+            reason=_null_reason(raw, gaps),
+        )
 
     lo, hi, g_lo = seeds[bracket[0]], seeds[bracket[1]], gaps[bracket[0]]
     iterations = 0

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .linalg import IDENTITY_2, PAULIS, SIGMA_Z
+from .linalg import IDENTITY_2, PAULI_PAIRS, SIGMA_Z
 
 DENSITY_TOL = 1e-10      # Hermiticity / trace / positivity gates
 CPTP_APPLY_TOL = 1e-10   # completeness residual allowed when applying a channel
@@ -106,7 +106,14 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A finite list of equal-shape operators defining a channel."""
+    """A finite list of equal-shape operators K_k defining the channel
+    rho -> sum_k K rho K*.
+
+    The map is completely positive by construction, so it is a CPTP channel
+    exactly when it is trace preserving: completeness_residual,
+    ||sum_k K*K - I||_F, is the whole check.  The residual and the transfer
+    matrix are computed once per set.
+    """
 
     dim: int
     ops: tuple
@@ -246,7 +253,7 @@ def depolarizing_uncorrelated_kraus2(p: float) -> KrausSet:
     _check_range("p", p, 0.0, 1.0)
     probs = _pauli_probs(p)
     ops = tuple(
-        math.sqrt(probs[i] * probs[j]) * np.kron(PAULIS[i], PAULIS[j])
+        math.sqrt(probs[i] * probs[j]) * PAULI_PAIRS[i][j]
         for i in range(4)
         for j in range(4)
     )
@@ -257,9 +264,7 @@ def depolarizing_correlated_kraus2(p: float) -> KrausSet:
     """The same Pauli error on both uses: 4 operators sqrt(p_k) s_k x s_k."""
     _check_range("p", p, 0.0, 1.0)
     probs = _pauli_probs(p)
-    ops = tuple(
-        math.sqrt(probs[k]) * np.kron(PAULIS[k], PAULIS[k]) for k in range(4)
-    )
+    ops = tuple(math.sqrt(probs[k]) * PAULI_PAIRS[k][k] for k in range(4))
     return KrausSet(dim=4, ops=ops)
 
 
@@ -284,6 +289,23 @@ def memory_branches(which: str, param: float) -> tuple:
     if which == DEPOLARIZING:
         return depolarizing_uncorrelated_kraus2(param), depolarizing_correlated_kraus2(param)
     raise ValueError(f"unknown channel family {which!r}")
+
+
+def memory_branch_bound(which: str, param: float) -> tuple:
+    """Completeness residual bound of a family's partial-memory channel that
+    holds for every memory degree mu in [0, 1], with the branches it came from.
+
+    The mixture's completeness defect is affine in mu,
+    sum_k K*K - I = (1 - mu)(C_unc - I) + mu (C_cor - I), and a norm is
+    convex, so over the whole interval it is largest at a branch:
+    bound = max(||C_unc - I||_F, ||C_cor - I||_F).  A Kraus form is CP by
+    construction, so completeness is the whole CPTP check, and a small bound
+    certifies every mixture without building one.  Returns
+    (bound, (unc, cor)) so that a caller which goes on to use the branches
+    builds them once.
+    """
+    branches = memory_branches(which, param)
+    return max(check_cptp(branch) for branch in branches), branches
 
 
 def build_memory_channel(params: ChannelParams) -> KrausSet:

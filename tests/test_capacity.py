@@ -225,10 +225,8 @@ def test_i2_kernel_rejects_outputs_that_are_not_states(monkeypatch):
     partial_transpose = np.zeros((16, 16))
     for a, b, c, d in np.ndindex(2, 2, 2, 2):
         partial_transpose[(2 * a + d) * 4 + 2 * c + b, (2 * a + b) * 4 + 2 * c + d] = 1.0
-    branch = types.SimpleNamespace(
-        require_trace_preserving=lambda: None, transfer=partial_transpose
-    )
-    monkeypatch.setattr(capacity, "memory_branches", lambda family, param: (branch, branch))
+    branch = types.SimpleNamespace(completeness_residual=0.0, transfer=partial_transpose)
+    monkeypatch.setattr(channels, "memory_branches", lambda family, param: (branch, branch))
     kernel = I2Kernel(DEPHASING, [0.3], [0.0, PI / 4])
     with pytest.raises(ValueError, match="positive semidefinite: min eigenvalue -5.000e-01"):
         kernel.at(0.5)
@@ -429,6 +427,33 @@ def test_threshold_stops_on_adjacent_doubles(monkeypatch):
     assert lo <= 1.0 / 3.0 < hi
     assert hi == np.nextafter(lo, 1.0)
     assert result.iterations == len(evaluations) - 17
+
+
+@pytest.mark.parametrize(
+    "raw,reason",
+    [
+        ([0.0] + [1e-3] * 16, "edge"),
+        ([1e-13] + [-1e-3] * 16, "edge"),
+        ([-5e-13] + [4e-12] * 16, "below_noise_floor"),
+        ([0.0, -2e-16] + [0.0] * 15, "none"),
+        ([0.0, 1e-3, 0.0] + [1e-3] * 14, "none"),
+    ],
+    ids=["zero_then_positive", "noise_then_negative", "inside_floor", "rounding", "inner_zero"],
+)
+def test_threshold_null_reason(monkeypatch, raw, reason):
+    gaps = iter(raw)
+
+    class SeedKernel:
+        def __init__(self, family, params, thetas):
+            pass
+
+        def at(self, mu):
+            return np.array([[next(gaps), 0.0]])
+
+    monkeypatch.setattr(capacity, "I2Kernel", SeedKernel)
+    result = threshold_numeric(DEPOLARIZING, 0.3, 1e-6)
+    assert (result.mu_t, result.bracket, result.iterations) == (None, (0.0, 1.0), 0)
+    assert result.reason == reason
 
 
 def test_threshold_bracket_has_sign_change():

@@ -408,3 +408,20 @@ def test_memory_channel_cptp_grids():
                 else:
                     params = ChannelParams(which=family, mu=mu, p=x)
                 assert check_cptp(build_memory_channel(params)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family,scale_param",
+    [(AMPLITUDE_DAMPING, math.pi / 2), (DEPHASING, 1.0), (DEPOLARIZING, 1.0)],
+)
+def test_memory_branch_bound_covers_every_mixture(family, scale_param):
+    # the completeness defect is affine in mu, so no mixture's residual
+    # exceeds the larger branch residual by more than rounding
+    for x in (0.0, 0.1, 0.35, 0.6, 0.85, 1.0):
+        param = x * scale_param
+        bound, (unc, cor) = channels.memory_branch_bound(family, param)
+        assert bound == max(check_cptp(unc), check_cptp(cor))
+        for mu in (i / 40 for i in range(41)):
+            kraus = build_memory_channel(ChannelParams.for_family(family, param, mu))
+            assert check_cptp(kraus) <= bound + 2e-15
+

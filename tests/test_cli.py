@@ -241,6 +241,35 @@ def test_threshold_identity_channel_reports_null(capsys):
     assert payload["bracket"] == [0.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "tag,param,reason",
+    [
+        # raw seed gaps run from -5e-13 to +4.9e-12, all inside the noise floor
+        ("ad", "1e-6", "below_noise_floor"),
+        ("ad", "1.5707953267948966", "below_noise_floor"),
+        # eta = 0: the gap is 0 at mu = 0 and positive above it
+        ("dp", "0.75", "edge"),
+        # the gaps are exactly 0, or -2e-16 at a few seeds
+        ("dp", "0", "none"),
+        ("ad", "0", "none"),
+        ("ad", "1.5707963267948966", "none"),
+    ],
+)
+def test_threshold_null_says_why(capsys, tag, param, reason):
+    code, out, _ = run_cli(capsys, "threshold", tag, param, "1e-12")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["mu_t"] is None
+    assert payload["reason"] == reason
+    assert list(payload) == ["channel", "param", "mu_t", "bracket", "iterations", "reason"]
+
+
+def test_threshold_found_has_no_reason(capsys):
+    code, out, _ = run_cli(capsys, "threshold", "dp", "0.5", "1e-12")
+    assert code == EXIT_OK
+    assert list(json.loads(out)) == ["channel", "param", "mu_t", "bracket", "iterations"]
+
+
 def test_threshold_rejects_bad_param(capsys):
     code, _, err = run_cli(capsys, "threshold", "ad", "3.0", "1e-6")
     assert code == EXIT_USAGE
@@ -339,6 +368,42 @@ def test_verify_detects_corrupted_damping_operator(capsys, monkeypatch):
     assert report["overall"] is False
     by_name = {s["name"]: s for s in report["sections"]}
     assert by_name["cptp_constructors"]["pass"] is False
+
+
+def test_verify_detects_wrong_mixing_weights(capsys, monkeypatch):
+    # weights 1 - mu and mu instead of their square roots leave both branches
+    # intact, so only the one interior mixture per grid point can see it
+    def linear_weights(unc, cor, mu):
+        ops = tuple((1.0 - mu) * op for op in unc.ops) + tuple(mu * op for op in cor.ops)
+        return channels.KrausSet(dim=unc.dim, ops=ops)
+
+    monkeypatch.setattr(channels, "memory_channel", linear_weights)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == EXIT_VERIFY_FAIL
+    by_name = {s["name"]: s for s in json.loads(out)["sections"]}
+    assert by_name["cptp_constructors"]["pass"] is False
+    assert [name for name, s in by_name.items() if not s["pass"]] == ["cptp_constructors"]
+
+
+def test_cptp_section_builds_one_mixture_per_grid_point(monkeypatch):
+    # the branch bound covers every mu, so no mu grid of mixtures is built
+    built = []
+    original = channels.build_memory_channel
+
+    def counting(params):
+        built.append(params.mu)
+        return original(params)
+
+    monkeypatch.setattr(channels, "build_memory_channel", counting)
+    assert cli.check_cptp_constructors().passed
+    assert built == [cli.MIXTURE_CHECK_MU] * (21 * 3)
+
+
+def test_verify_stdout_is_byte_identical_run_to_run(capsys):
+    first = run_cli(capsys, "verify")
+    second = run_cli(capsys, "verify")
+    assert first[0] == second[0] == EXIT_OK
+    assert first[1] == second[1]
 
 
 def test_verify_detects_wrong_eigenvalue(capsys, monkeypatch):
