@@ -289,7 +289,6 @@ class ThresholdResult:
     """Bisection outcome for the Bell-vs-product crossover in mu; reason says
     why mu_t is None (see threshold_numeric) and is None when it is not."""
 
-    chi_or_p: float
     mu_t: float | None
     bracket: tuple
     iterations: int
@@ -341,11 +340,7 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
             break
     if bracket is None:
         return ThresholdResult(
-            chi_or_p=param,
-            mu_t=None,
-            bracket=(0.0, 1.0),
-            iterations=0,
-            reason=_null_reason(raw, gaps),
+            mu_t=None, bracket=(0.0, 1.0), iterations=0, reason=_null_reason(raw, gaps)
         )
 
     lo, hi, g_lo = seeds[bracket[0]], seeds[bracket[1]], gaps[bracket[0]]
@@ -362,9 +357,7 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
             hi = mid
         else:
             lo, g_lo = mid, g_mid
-    return ThresholdResult(
-        chi_or_p=param, mu_t=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations
-    )
+    return ThresholdResult(mu_t=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations)
 
 
 def product_memory_inequality(chi_grid) -> list:

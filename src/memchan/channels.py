@@ -36,7 +36,7 @@ FAMILIES = (AMPLITUDE_DAMPING, DEPHASING, DEPOLARIZING)
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
     if not (lo <= value <= hi):
-        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
+        raise ValueError(f"{name} must lie in [{lo!r}, {hi!r}], got {value!r}")
 
 
 def density_spectra(m: np.ndarray) -> np.ndarray:
@@ -111,8 +111,10 @@ class KrausSet:
 
     The map is completely positive by construction, so it is a CPTP channel
     exactly when it is trace preserving: completeness_residual,
-    ||sum_k K*K - I||_F, is the whole check.  The residual and the transfer
-    matrix are computed once per set.
+    ||sum_k K*K - I||_F, is the whole check.  transfer is the channel's one
+    representation, which apply and the Lindblad comparisons read directly.
+    Both are computed once per set.  dim is 4 for the two-use channels and 2
+    for the single-qubit damping set they are built from.
     """
 
     dim: int
@@ -142,6 +144,8 @@ class KrausSet:
 
     @cached_property
     def transfer(self) -> np.ndarray:
+        """Matrix T = sum_k kron(K, conj(K)) with T @ vec(rho) = vec(sum_k K rho K*)
+        under row-major vectorization (dim^2 x dim^2); read-only."""
         ops = np.array(self.ops)
         t = np.einsum("kij,kab->iajb", ops, ops.conj()).reshape(self.dim**2, self.dim**2)
         t.flags.writeable = False
@@ -173,11 +177,6 @@ class ChannelParams:
         _check_range("mu", self.mu, 0.0, 1.0)
         _check_range("chi", self.chi, 0.0, math.pi / 2)
         _check_range("p", self.p, 0.0, 1.0)
-
-    @property
-    def eta(self) -> float:
-        """Pauli shrinking factor 1 - 4p/3 of the depolarizing channel."""
-        return 1.0 - 4.0 * self.p / 3.0
 
     @classmethod
     def for_family(cls, which: str, param: float, mu: float = 0.0) -> "ChannelParams":
@@ -314,16 +313,10 @@ def build_memory_channel(params: ChannelParams) -> KrausSet:
     return memory_channel(*memory_branches(params.which, param), params.mu)
 
 
-def transfer_matrix(kraus: KrausSet) -> np.ndarray:
-    """Matrix T = sum_k kron(K, conj(K)) with T @ vec(rho) = vec(sum_k K rho K*)
-    under row-major vectorization (dim^2 x dim^2); read-only, built once per set."""
-    return kraus.transfer
-
-
 def apply(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """Channel action sum_k K rho K*, as transfer_matrix(kraus) @ vec(rho)."""
+    """Channel action sum_k K rho K*, as kraus.transfer @ vec(rho)."""
     if kraus.dim != rho.dim:
         raise ValueError(f"channel dim {kraus.dim} does not match state dim {rho.dim}")
     kraus.require_trace_preserving()
-    out = transfer_matrix(kraus) @ rho.mat.reshape(-1)
+    out = kraus.transfer @ rho.mat.reshape(-1)
     return DensityMatrix(out.reshape(kraus.dim, kraus.dim))

@@ -74,10 +74,10 @@ def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> 
     if count < 1:
         raise UsageError(f"{name}: count must be >= 1, got {count}")
     if lo > hi:
-        raise UsageError(f"{name}: lo {lo:g} exceeds hi {hi:g}")
+        raise UsageError(f"{name}: lo {lo!r} exceeds hi {hi!r}")
     if lo < lo_bound - 1e-12 or hi > hi_bound + 1e-12:
         raise UsageError(
-            f"{name}: range [{lo:g}, {hi:g}] lies outside [{lo_bound:g}, {hi_bound:g}]"
+            f"{name}: range [{lo!r}, {hi!r}] lies outside [{lo_bound!r}, {hi_bound!r}]"
         )
     # The end points are exactly lo and hi, clamped into the domain: the slack
     # above, or rounding in lo + (hi - lo) * i / (count - 1), may step past it.
@@ -269,15 +269,15 @@ def check_kraus_lindblad() -> CheckSection:
 
 
 def check_uncorrelated_dephasing() -> CheckSection:
-    """||expm(t S) - transfer_matrix(K)||_F for the two-jump generator S and
-    the uncorrelated dephasing Kraus set K."""
+    """||expm(t S) - K.transfer||_F for the two-jump generator S and the
+    uncorrelated dephasing Kraus set K."""
     s = lindblad.superoperator_matrix(lindblad.dephasing_uncorrelated_spec(1.0))
     worst = 0.0
     for t in EQUIVALENCE_TIMES:
         kraus = channels.dephasing_uncorrelated_kraus(
             lindblad.dephasing_flip_probability(1.0, t)
         )
-        gap = np.linalg.norm(lindblad._expm(t * s) - channels.transfer_matrix(kraus))
+        gap = np.linalg.norm(lindblad._expm(t * s) - kraus.transfer)
         worst = max(worst, float(gap))
     return _section("uncorrelated_dephasing_generator", 1e-10, worst)
 

@@ -1,8 +1,12 @@
-"""Lindblad generators in jump-operator form and their spectral channel maps.
+"""Two-qubit Lindblad generators in jump-operator form and their spectral
+channel maps.
 
-A generator is a list of (rate, jump) pairs acting as
+A generator is a list of (rate, jump) pairs on the two-use space (dim 4),
 
-    L(pi) = sum_k rate_k * (J pi J* - (J*J pi + pi J*J) / 2).
+    L(pi) = sum_k rate_k * (J pi J* - (J*J pi + pi J*J) / 2);
+
+here correlated dephasing (jump Z x Z), correlated damping (sigma x sigma)
+and uncorrelated dephasing (jumps I x Z and Z x I).
 
 Channels are evaluated two ways: through a catalog of right eigenoperators
 R_i (L R_i = lambda_i R_i) paired with left duals L_i (tr(L_i R_j) =
@@ -15,9 +19,9 @@ The correlated dephasing map reduces to phase-flip Kraus operators with
 p = (1 - exp(-Gamma t)) / 2, and the correlated damping map to the damping
 Kraus pair with cos(chi) = exp(-alpha t / 2).
 
-Every map is a product with a row-major transfer matrix, the representation
-channels.apply uses for Kraus sets (channels.transfer_matrix):
-apply_generator is superoperator_matrix(spec) @ vec(pi), evolve is
+Every map is a row-major transfer matrix, the representation channels.apply
+uses for Kraus sets (KrausSet.transfer): L(pi) is
+superoperator_matrix(spec) @ vec(pi), evolve is
 spectral_matrix(cat, t) @ vec(pi), and evolve_superoperator is
 expm(t S) @ vec(pi).  kraus_equivalence compares those matrices directly,
 so the Kraus/Lindblad gap it reports is exact and holds for every input
@@ -32,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .channels import DensityMatrix, KrausSet, transfer_matrix
+from .channels import DensityMatrix, KrausSet
 from .linalg import IDENTITY_2, SIGMA_Z
 
 DUALITY_TOL = 1e-10
@@ -44,14 +48,14 @@ LOWERING.flags.writeable = False
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Jump-operator form of a generator: (rate, jump) pairs on dim 2 or 4."""
+    """Jump-operator form of a two-qubit generator: (rate, jump) pairs on dim 4."""
 
     dim: int
     terms: tuple
 
     def __post_init__(self):
-        if self.dim not in (2, 4):
-            raise ValueError(f"unsupported dimension {self.dim}, expected 2 or 4")
+        if self.dim != 4:
+            raise ValueError(f"unsupported dimension {self.dim}, expected 4")
         if not self.terms:
             raise ValueError("a LindbladSpec needs at least one (rate, jump) term")
         frozen = []
@@ -67,16 +71,6 @@ class LindbladSpec:
             m.flags.writeable = False
             frozen.append((rate, m))
         object.__setattr__(self, "terms", tuple(frozen))
-
-
-def amplitude_damping_spec(alpha_rate: float) -> LindbladSpec:
-    """Single-qubit decay at rate alpha via the lowering operator."""
-    return LindbladSpec(dim=2, terms=((alpha_rate, LOWERING),))
-
-
-def dephasing_spec(gamma_rate: float) -> LindbladSpec:
-    """Single-qubit dephasing: L(pi) = -Gamma/2 (pi - Z pi Z)."""
-    return LindbladSpec(dim=2, terms=((gamma_rate / 2.0, SIGMA_Z),))
 
 
 def dephasing_correlated_spec(gamma_rate: float) -> LindbladSpec:
@@ -101,20 +95,13 @@ def dephasing_uncorrelated_spec(gamma_rate: float) -> LindbladSpec:
     )
 
 
-def apply_generator(spec: LindbladSpec, pi) -> np.ndarray:
-    """L(pi) = superoperator_matrix(spec) @ vec(pi); the result is always traceless."""
-    pi = np.asarray(pi, dtype=complex)
-    if pi.shape != (spec.dim, spec.dim):
-        raise ValueError(f"state shape {pi.shape} does not match dim {spec.dim}")
-    return (superoperator_matrix(spec) @ pi.reshape(-1)).reshape(spec.dim, spec.dim)
-
-
 def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
     """Matrix S with S @ vec(pi) = vec(L(pi)) under row-major vectorization.
 
     vec(X) = X.reshape(-1) stacks rows, so vec(A X B) = kron(A, B.T) @ vec(X)
-    (a plain transpose, not the conjugate); channels.transfer_matrix and
-    spectral_matrix use the same convention.
+    (a plain transpose, not the conjugate); KrausSet.transfer and
+    spectral_matrix use the same convention.  L is trace annihilating,
+    vec(I)^T S = 0, so tr L(X) = 0 for every X.
     """
     n = spec.dim
     eye = np.eye(n, dtype=complex)
@@ -301,7 +288,7 @@ def damping_angle(alpha_rate: float, t: float) -> float:
 
 
 def kraus_equivalence(cat: EigenoperatorCatalog, t: float, kraus_builder, param_map) -> float:
-    """Exact gap ||spectral_matrix(cat, t) - transfer_matrix(K)||_F between the
+    """Exact gap ||spectral_matrix(cat, t) - K.transfer||_F between the
     spectral map at time t and the Kraus channel K = kraus_builder(param_map(t)).
 
     The Frobenius norm of the transfer-matrix difference bounds the output
@@ -310,7 +297,7 @@ def kraus_equivalence(cat: EigenoperatorCatalog, t: float, kraus_builder, param_
     """
     spectral = spectral_matrix(cat, t)
     kraus: KrausSet = kraus_builder(param_map(t))
-    return float(np.linalg.norm(spectral - transfer_matrix(kraus)))
+    return float(np.linalg.norm(spectral - kraus.transfer))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from memchan.channels import (
     memory_channel,
     pure_state,
     random_density_matrix,
-    transfer_matrix,
 )
 from memchan.linalg import SIGMA_X, SIGMA_Z
 
@@ -109,8 +108,7 @@ def test_kraus_set_validation():
 
 
 def test_channel_params_validation():
-    params = ChannelParams(which=DEPOLARIZING, mu=0.5, p=0.375)
-    assert abs(params.eta - 0.5) < 1e-15
+    ChannelParams(which=DEPOLARIZING, mu=0.5, p=0.375)
     with pytest.raises(ValueError):
         ChannelParams(which="bogus")
     with pytest.raises(ValueError):
@@ -359,7 +357,7 @@ def test_check_cptp_examples():
     assert check_cptp(KrausSet(dim=2, ops=(e0,))) > 0.4
 
 
-def test_transfer_matrix_acts_like_apply():
+def test_kraus_transfer_acts_like_apply():
     # the uncorrelated depolarizing set has complex operators (I x Y), so a
     # missing conjugate in kron(K, conj(K)) shows here
     rng = np.random.default_rng(16)
@@ -368,7 +366,7 @@ def test_transfer_matrix_acts_like_apply():
         ad_correlated_kraus2(0.8),
         depolarizing_uncorrelated_kraus2(0.6),
     ):
-        t = transfer_matrix(kraus)
+        t = kraus.transfer
         assert t.shape == (kraus.dim**2, kraus.dim**2)
         for _ in range(5):
             rho = random_density_matrix(kraus.dim, rng)

@@ -52,6 +52,14 @@ def test_parse_range_spec_rejects_bad_input(spec):
         parse_range_spec(spec, "x", 0.0, 1.0)
 
 
+def test_parse_range_spec_error_prints_values_in_full():
+    # 0.78539817 and pi/4 agree to 6 significant digits, so a short format
+    # would print both as 0.785398
+    with pytest.raises(UsageError) as excinfo:
+        parse_range_spec("0:0.78539817:3", "x", 0.0, PI / 4)
+    assert "[0.0, 0.78539817] lies outside [0.0, 0.7853981633974483]" in str(excinfo.value)
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -274,6 +282,15 @@ def test_threshold_rejects_bad_param(capsys):
     code, _, err = run_cli(capsys, "threshold", "ad", "3.0", "1e-6")
     assert code == EXIT_USAGE
     assert "chi" in err
+
+
+def test_threshold_range_error_prints_bounds_in_full(capsys):
+    # just above pi/2 and equal to it in 6 significant digits, so a short
+    # format would print a bound the value seems to lie inside
+    code, out, err = run_cli(capsys, "threshold", "ad", "1.5707963267949", "1e-9")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "chi must lie in [0.0, 1.5707963267948966], got 1.5707963267949" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
