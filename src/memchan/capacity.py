@@ -24,7 +24,8 @@ from .channels import (
     KrausSet,
     _check_range,
     apply,
-    density_spectra,
+    check_density_form,
+    check_positive_spectra,
     memory_branch_bound,
     pure_state,
 )
@@ -128,9 +129,20 @@ class I2Kernel:
     ensemble output is (1 - mu) T_unc vec(rho) + mu T_cor vec(rho), from two
     branch outputs computed once per parameter.  The branch bound
     (memory_branch_bound) must be within CPTP_APPLY_TOL, which makes every
-    mixture a channel.  Each slice checks its outputs and ensemble averages
-    as density matrices (density_spectra) and takes all their spectra with
-    one eigvalsh call.  Agrees with mutual_information_numeric to rounding.
+    mixture a channel.
+
+    The form checks of a density matrix (check_density_form: finite,
+    Hermitian, unit trace at DENSITY_TOL) run once, on the branch outputs.
+    A slice output is (1 - mu) unc + mu cor, and an ensemble average is a
+    q-weighted sum of outputs with q >= 0 and sum q = 1, so an output's
+    anti-Hermitian part and its trace - 1 are affine in mu and an average's
+    are convex combinations of the outputs'.  Their norms are therefore
+    largest at a branch: the certificate covers every output and average at
+    every mu in [0, 1], up to a few ulps of rounding.  Positivity is checked
+    per slice (check_positive_spectra), on the spectra its one eigvalsh call
+    takes for the entropies.  Every slice writes into one buffer the kernel
+    keeps, so one kernel must not run two slices at once.  Agrees with
+    mutual_information_numeric to rounding.
     """
 
     def __init__(self, family: str, params, thetas):
@@ -138,25 +150,45 @@ class I2Kernel:
         # (state, theta) weights and (theta, state, 16) vectorized input states
         self._probs = np.reshape([e.probs for e in ensembles], (len(thetas), 4)).T
         inputs = np.reshape([[s.mat for s in e.states] for e in ensembles], (len(thetas), 4, 16))
-        pairs = []
-        for param in params:
+        transfers = np.empty((len(params), 2, 16, 16), dtype=complex)
+        for i, param in enumerate(params):
             bound, branches = memory_branch_bound(family, float(param))
             if bound > CPTP_APPLY_TOL:
                 raise ValueError(f"memory branches are not trace preserving: residual {bound:.3e}")
-            pairs.append([b.transfer for b in branches])
-        pairs = np.reshape(pairs, (len(params), 2, 16, 16))
-        # (param, theta, state, 16) outputs of the uncorrelated and correlated branches
-        self._unc = np.einsum("pij,tsj->ptsi", pairs[:, 0], inputs)
-        self._cor = np.einsum("pij,tsj->ptsi", pairs[:, 1], inputs)
+            transfers[i] = [b.transfer for b in branches]
+        # outputs of the uncorrelated and correlated branches, moved from
+        # einsum's (param, theta, state, 16) to state-major (state, param,
+        # theta, 16) so that every operand of a slice is contiguous: numpy
+        # gives a ufunc whose operands are not all contiguous alike iteration
+        # buffers as large as them.  Each temporary goes as soon as it is
+        # used, so that setting up peaks below a slice.
+        unc, cor = (np.einsum("pij,tsj->ptsi", transfers[:, b], inputs) for b in (0, 1))
+        del transfers
+        self._unc = np.ascontiguousarray(np.moveaxis(unc, 2, 0))
+        del unc
+        self._cor = np.ascontiguousarray(np.moveaxis(cor, 2, 0))
+        del cor
+        # one state at a time, so the certificate's temporaries stay small
+        for branch in (self._unc, self._cor):
+            for outputs in branch:
+                check_density_form(outputs.reshape(-1, 4, 4))
+        # (5, param, theta, 16), reused by every slice: the four outputs, then
+        # their ensemble average
+        self._stack = np.empty((5,) + self._unc.shape[1:], dtype=complex)
 
     def at(self, mu: float) -> np.ndarray:
         """I2[param, theta] at memory degree mu."""
         _check_range("mu", mu, 0.0, 1.0)
-        outputs = (1.0 - mu) * self._unc + mu * self._cor
-        avg = sum(q[:, None] * outputs[:, :, i] for i, q in enumerate(self._probs))
-        stack = np.concatenate((outputs, avg[:, :, None]), axis=2)
-        entropies = _entropy_bits(density_spectra(stack.reshape(stack.shape[:3] + (4, 4))))
-        return _holevo(entropies[..., 4], np.moveaxis(entropies[..., :4], -1, 0), self._probs)
+        stack = self._stack
+        outputs, avg = stack[:4], stack[4]
+        np.multiply(self._unc, 1.0 - mu, out=outputs)
+        outputs += mu * self._cor
+        np.multiply(self._probs[0][:, None], outputs[0], out=avg)
+        for q, output in zip(self._probs[1:], outputs[1:]):
+            avg += q[:, None] * output
+        spectra = np.linalg.eigvalsh(stack.reshape(stack.shape[:3] + (4, 4)))
+        entropies = _entropy_bits(check_positive_spectra(spectra))
+        return _holevo(entropies[4], entropies[:4], self._probs)
 
 
 def i2_grid(family: str, mus, params, thetas) -> np.ndarray:

@@ -39,10 +39,10 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> None:
         raise ValueError(f"{name} must lie in [{lo!r}, {hi!r}], got {value!r}")
 
 
-def density_spectra(m: np.ndarray) -> np.ndarray:
-    """Ascending spectra of a density matrix, or of each in a (..., d, d) stack
-    (one eigvalsh call), after checking in turn that every matrix is finite,
-    Hermitian, unit trace and positive semidefinite at DENSITY_TOL."""
+def check_density_form(m: np.ndarray) -> np.ndarray:
+    """The form half of the density checks: raise unless every matrix of m, one
+    (d, d) matrix or a (..., d, d) stack, is finite, Hermitian and unit trace
+    at DENSITY_TOL, checked in that order.  Returns m."""
     if not np.all(np.isfinite(m)):
         raise ValueError("density matrix has non-finite entries")
     herm = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
@@ -52,11 +52,24 @@ def density_spectra(m: np.ndarray) -> np.ndarray:
     off = np.abs(tr - 1.0)
     if np.any(off > DENSITY_TOL):
         raise ValueError(f"trace must be 1, got {complex(tr.flat[np.argmax(off)]):.12g}")
-    spectra = linalg.hermitian_eigen(m)
+    return m
+
+
+def check_positive_spectra(spectra: np.ndarray) -> np.ndarray:
+    """The positivity half of the density checks: raise unless every ascending
+    spectrum in spectra (last axis) is at least -DENSITY_TOL.  Returns spectra."""
     lowest = float(spectra[..., 0].min(initial=0.0))
     if lowest < -DENSITY_TOL:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lowest:.3e}")
     return spectra
+
+
+def density_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a density matrix, or of each in a (..., d, d) stack
+    (one eigvalsh call), after checking that every matrix is finite, Hermitian
+    and unit trace (check_density_form) and then positive semidefinite
+    (check_positive_spectra), all at DENSITY_TOL."""
+    return check_positive_spectra(linalg.hermitian_eigen(check_density_form(m)))
 
 
 class DensityMatrix:

@@ -48,14 +48,12 @@ LOWERING.flags.writeable = False
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Jump-operator form of a two-qubit generator: (rate, jump) pairs on dim 4."""
+    """Jump-operator form of a two-qubit generator: (rate, jump) pairs, each
+    jump a 4x4 operator on the two-use space."""
 
-    dim: int
     terms: tuple
 
     def __post_init__(self):
-        if self.dim != 4:
-            raise ValueError(f"unsupported dimension {self.dim}, expected 4")
         if not self.terms:
             raise ValueError("a LindbladSpec needs at least one (rate, jump) term")
         frozen = []
@@ -64,10 +62,8 @@ class LindbladSpec:
             if rate < 0.0:
                 raise ValueError(f"rates must be nonnegative, got {rate!r}")
             m = np.array(jump, dtype=complex)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"jump operator shape {m.shape} does not match dim {self.dim}"
-                )
+            if m.shape != (4, 4):
+                raise ValueError(f"jump operator shape {m.shape} is not (4, 4)")
             m.flags.writeable = False
             frozen.append((rate, m))
         object.__setattr__(self, "terms", tuple(frozen))
@@ -75,19 +71,18 @@ class LindbladSpec:
 
 def dephasing_correlated_spec(gamma_rate: float) -> LindbladSpec:
     """Two-qubit correlated dephasing with jump Z (x) Z."""
-    return LindbladSpec(dim=4, terms=((gamma_rate / 2.0, np.kron(SIGMA_Z, SIGMA_Z)),))
+    return LindbladSpec(terms=((gamma_rate / 2.0, np.kron(SIGMA_Z, SIGMA_Z)),))
 
 
 def ad_correlated_spec(alpha_rate: float) -> LindbladSpec:
     """Two-qubit correlated decay with jump sigma (x) sigma (|00> -> |11>)."""
-    return LindbladSpec(dim=4, terms=((alpha_rate, np.kron(LOWERING, LOWERING)),))
+    return LindbladSpec(terms=((alpha_rate, np.kron(LOWERING, LOWERING)),))
 
 
 def dephasing_uncorrelated_spec(gamma_rate: float) -> LindbladSpec:
     """Independent dephasing of each qubit: jumps I (x) Z and Z (x) I at Gamma/2."""
     half = gamma_rate / 2.0
     return LindbladSpec(
-        dim=4,
         terms=(
             (half, np.kron(IDENTITY_2, SIGMA_Z)),
             (half, np.kron(SIGMA_Z, IDENTITY_2)),
@@ -103,7 +98,7 @@ def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
     spectral_matrix use the same convention.  L is trace annihilating,
     vec(I)^T S = 0, so tr L(X) = 0 for every X.
     """
-    n = spec.dim
+    n = spec.terms[0][1].shape[0]
     eye = np.eye(n, dtype=complex)
     s = np.zeros((n * n, n * n), dtype=complex)
     for rate, jump in spec.terms:
@@ -268,8 +263,6 @@ def spectral_matrix(cat: EigenoperatorCatalog, t: float) -> np.ndarray:
 
 def verify_eigen(spec: LindbladSpec, cat: EigenoperatorCatalog) -> list:
     """Per-entry residual ||L(R_i) - lambda_i R_i||_F."""
-    if spec.dim != cat.dim:
-        raise ValueError(f"generator dim {spec.dim} does not match catalog dim {cat.dim}")
     s = superoperator_matrix(spec)
     return [
         float(np.linalg.norm(s @ e.right.reshape(-1) - e.eigenvalue * e.right.reshape(-1)))
@@ -324,4 +317,5 @@ def evolve_superoperator(spec: LindbladSpec, t: float, pi: DensityMatrix) -> Den
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     prop = _expm(t * superoperator_matrix(spec))
-    return DensityMatrix((prop @ pi.mat.reshape(-1)).reshape(spec.dim, spec.dim))
+    n = spec.terms[0][1].shape[0]
+    return DensityMatrix((prop @ pi.mat.reshape(-1)).reshape(n, n))

@@ -1,4 +1,5 @@
 import math
+import re
 import types
 
 import numpy as np
@@ -232,13 +233,124 @@ def test_i2_kernel_rejects_outputs_that_are_not_states(monkeypatch):
         kernel.at(0.5)
 
 
+def _not_hermitian_transfer():
+    # the identity, plus <0|rho|0> copied into the (0, 1) entry: |00><00| maps
+    # to a matrix with ||m - m*||_F = sqrt(2)
+    transfer = np.eye(16)
+    transfer[1, 0] = 1.0
+    return transfer
+
+
+@pytest.mark.parametrize("bad_branch", [0, 1], ids=["uncorrelated", "correlated"])
+@pytest.mark.parametrize(
+    "message,transfer",
+    [
+        ("density matrix has non-finite entries", np.full((16, 16), np.nan)),
+        ("matrix is not Hermitian: residual 1.414e+00", _not_hermitian_transfer()),
+        ("trace must be 1, got 1.5+0j", 1.5 * np.eye(16)),
+    ],
+    ids=["non-finite", "not-hermitian", "trace"],
+)
+def test_i2_kernel_certifies_branch_outputs_once(monkeypatch, bad_branch, message, transfer):
+    # a branch output that fails a form check fails the kernel on
+    # construction, with density_spectra's message, before any slice
+    good = types.SimpleNamespace(completeness_residual=0.0, transfer=np.eye(16))
+    bad = types.SimpleNamespace(completeness_residual=0.0, transfer=transfer)
+    branches = (bad, good) if bad_branch == 0 else (good, bad)
+    monkeypatch.setattr(channels, "memory_branches", lambda family, param: branches)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        channels.density_spectra((transfer @ np.diag([1.0, 0, 0, 0]).reshape(-1)).reshape(4, 4))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        I2Kernel(DEPHASING, [0.3], [0.0])
+
+
+def _form_defects(stack):
+    """Largest ||m - m*||_F and |tr m - 1| over a (..., 16) stack of
+    row-major vectorized 4x4 matrices."""
+    m = stack.reshape(-1, 4, 4)
+    herm = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return float(herm.max()), float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
+
+
+@pytest.mark.parametrize(
+    "family,scale_param",
+    [(AMPLITUDE_DAMPING, PI / 2), (DEPHASING, 1.0), (DEPOLARIZING, 1.0)],
+)
+def test_i2_kernel_branch_certificate_covers_every_slice(monkeypatch, family, scale_param):
+    # an output's anti-Hermitian part and trace - 1 are affine in mu, and an
+    # average's are convex combinations of the outputs', so the stack each
+    # slice hands to eigvalsh is no further from Hermitian and unit trace
+    # than the branch outputs are, up to rounding
+    thetas = [0.0, PI / 8, PI / 4, 3 * PI / 8, PI / 2]
+    inputs = np.array([[s.mat.reshape(-1) for s in theta_ensemble(t).states] for t in thetas])
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.copy()) or eigvalsh(a))
+    for x in (0.0, 0.1, 0.35, 0.6, 0.85, 1.0):
+        param = x * scale_param
+        branch_outputs = [
+            inputs @ branch.transfer.T for branch in channels.memory_branches(family, param)
+        ]
+        herm_bound, trace_bound = (max(d) for d in zip(*map(_form_defects, branch_outputs)))
+        kernel = I2Kernel(family, [param], thetas)
+        for mu in (i / 40 for i in range(41)):
+            stacks.clear()
+            kernel.at(mu)
+            (stack,) = stacks
+            herm, trace = _form_defects(stack)
+            assert herm <= herm_bound + 2e-15, (param, mu)
+            assert trace <= trace_bound + 2e-15, (param, mu)
+
+
+def _reference_i2_grid(family, mus, params, thetas):
+    """I2[mu, param, theta] by the per-slice formula the kernel replaced:
+    mix the branch outputs, sum the average in Python, concatenate, and check
+    and diagonalize with density_spectra."""
+    ensembles = [theta_ensemble(theta) for theta in thetas]
+    probs = np.reshape([e.probs for e in ensembles], (len(thetas), 4)).T
+    inputs = np.reshape([[s.mat for s in e.states] for e in ensembles], (len(thetas), 4, 16))
+    pairs = np.reshape(
+        [[b.transfer for b in channels.memory_branches(family, p)] for p in params],
+        (len(params), 2, 16, 16),
+    )
+    unc = np.einsum("pij,tsj->ptsi", pairs[:, 0], inputs)
+    cor = np.einsum("pij,tsj->ptsi", pairs[:, 1], inputs)
+    slices = []
+    for mu in mus:
+        outputs = (1.0 - mu) * unc + mu * cor
+        avg = sum(q[:, None] * outputs[:, :, i] for i, q in enumerate(probs))
+        stack = np.concatenate((outputs, avg[:, :, None]), axis=2)
+        spectra = channels.density_spectra(stack.reshape(stack.shape[:3] + (4, 4)))
+        entropies = capacity._entropy_bits(spectra)
+        slices.append(
+            capacity._holevo(entropies[..., 4], np.moveaxis(entropies[..., :4], -1, 0), probs)
+        )
+    return np.array(slices)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        (AMPLITUDE_DAMPING, [0.0, 0.3, 0.7, 1.2, PI / 2]),
+        (DEPHASING, [0.0, 0.15, 0.4, 0.8, 1.0]),
+        (DEPOLARIZING, [0.0, 0.2, 0.5, 0.75, 1.0]),
+    ],
+    ids=["ad", "dephasing", "dp"],
+)
+def test_i2_grid_is_bitwise_the_per_slice_formula(family, params):
+    mus = [0.0, 0.1, 0.35, 0.5, 0.8, 1.0]
+    grid = i2_grid(family, mus, params, EDGE_THETAS)
+    assert np.array_equal(grid, _reference_i2_grid(family, mus, params, EDGE_THETAS))
+
+
 @pytest.mark.parametrize("excess", [1e-13, 1e-9])
 def test_i2_kernel_negative_difference(monkeypatch, excess):
     # as in test_i2_negative_difference: each of the four outputs reads
     # `excess` more entropy than the ensemble average, the last of the five
-    # spectra the kernel takes per grid point
+    # (state, param, theta) spectra stacks the kernel takes per slice
     def entropies(spectra):
-        return np.where(np.arange(5) < 4, 1.0 + excess, 1.0) * np.ones(spectra.shape[:-1])
+        first_four = np.arange(5)[:, None, None] < 4
+        return np.where(first_four, 1.0 + excess, 1.0) * np.ones(spectra.shape[:-1])
 
     monkeypatch.setattr(capacity, "_entropy_bits", entropies)
     kernel = I2Kernel(DEPHASING, [0.2, 0.6], [0.0, PI / 4])

@@ -52,7 +52,7 @@ ALL_SPECS = (
 
 def _generate(spec, pi):
     """L(pi) as the transfer-matrix product superoperator_matrix(spec) @ vec(pi)."""
-    return (superoperator_matrix(spec) @ pi.reshape(-1)).reshape(spec.dim, spec.dim)
+    return (superoperator_matrix(spec) @ pi.reshape(-1)).reshape(4, 4)
 
 
 def test_lowering_operator_convention():
@@ -61,7 +61,7 @@ def test_lowering_operator_convention():
 
 
 def test_generator_zero_rates():
-    spec = LindbladSpec(dim=4, terms=((0.0, np.kron(SIGMA_X, SIGMA_X)),))
+    spec = LindbladSpec(terms=((0.0, np.kron(SIGMA_X, SIGMA_X)),))
     rng = np.random.default_rng(0)
     pi = random_density_matrix(4, rng).mat
     assert np.allclose(_generate(spec, pi), 0.0)
@@ -97,13 +97,11 @@ def test_generator_output_is_traceless():
 
 def test_lindblad_spec_validation():
     with pytest.raises(ValueError):
-        LindbladSpec(dim=4, terms=())
+        LindbladSpec(terms=())
     with pytest.raises(ValueError):
-        LindbladSpec(dim=4, terms=((-1.0, np.kron(SIGMA_X, SIGMA_X)),))
-    with pytest.raises(ValueError):
-        LindbladSpec(dim=4, terms=((1.0, SIGMA_X),))
-    with pytest.raises(ValueError, match="expected 4"):
-        LindbladSpec(dim=2, terms=((1.0, SIGMA_X),))
+        LindbladSpec(terms=((-1.0, np.kron(SIGMA_X, SIGMA_X)),))
+    with pytest.raises(ValueError, match=r"jump operator shape \(2, 2\) is not \(4, 4\)"):
+        LindbladSpec(terms=((1.0, SIGMA_X),))
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +109,7 @@ def test_lindblad_spec_validation():
 # ----------------------------------------------------------------------
 
 def test_superoperator_zero_rates():
-    spec = LindbladSpec(dim=4, terms=((0.0, np.kron(SIGMA_X, SIGMA_X)),))
+    spec = LindbladSpec(terms=((0.0, np.kron(SIGMA_X, SIGMA_X)),))
     assert np.allclose(superoperator_matrix(spec), 0.0)
 
 
@@ -138,7 +136,7 @@ def test_superoperator_matches_generator_on_random_states():
     for spec in ALL_SPECS:
         s = superoperator_matrix(spec)
         for _ in range(10):
-            pi = random_density_matrix(spec.dim, rng).mat
+            pi = random_density_matrix(4, rng).mat
             want = _jump_sum(spec, pi)
             assert np.linalg.norm(s @ pi.reshape(-1) - want.reshape(-1)) <= 1e-12
 
@@ -475,7 +473,6 @@ def test_uncorrelated_dephasing_time_grid(t):
 def test_uncorrelated_damping_generator_matches_kraus(alpha):
     # independent decay of each qubit: jumps sigma (x) I and I (x) sigma
     spec = LindbladSpec(
-        dim=4,
         terms=((alpha, np.kron(LOWERING, IDENTITY_2)), (alpha, np.kron(IDENTITY_2, LOWERING))),
     )
     s = superoperator_matrix(spec)
