@@ -202,7 +202,6 @@ def i2_grid(family: str, mus, params, thetas) -> np.ndarray:
 class ClosedFormTerms:
     """Named scalar term groups entering a closed-form I2 value."""
 
-    theta: float
     terms: dict
 
 
@@ -250,7 +249,7 @@ def i2_depolarizing_closed(p: float, mu: float, theta: float):
     es = _clamped("e", (e12, e12, 0.25 * (body + root), 0.25 * (body - root)))
     _check_sum("e", es)
     i2 = 2.0 + _xlog2_sum(es)
-    return i2, ClosedFormTerms(theta=theta, terms={"eta": (eta,), "e": es})
+    return i2, ClosedFormTerms(terms={"eta": (eta,), "e": es})
 
 
 def i2_ad_closed(chi: float, mu: float, theta: float):
@@ -303,9 +302,7 @@ def i2_ad_closed(chi: float, mu: float, theta: float):
         + 0.25 * _xlog2_sum(vs)
         + 0.5 * _xlog2_sum(ws)
     )
-    terms = ClosedFormTerms(
-        theta=theta, terms={"Theta": (big_theta,), "t": ts, "u": us, "v": vs, "w": ws}
-    )
+    terms = ClosedFormTerms(terms={"Theta": (big_theta,), "t": ts, "u": us, "v": vs, "w": ws})
     return i2, terms
 
 

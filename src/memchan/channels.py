@@ -119,35 +119,33 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A finite list of equal-shape operators K_k defining the channel
-    rho -> sum_k K rho K*.
+    """A nonempty list of finite operators K_k, all 2x2 or all 4x4, defining
+    the channel rho -> sum_k K rho K*.
 
     The map is completely positive by construction, so it is a CPTP channel
     exactly when it is trace preserving: completeness_residual,
     ||sum_k K*K - I||_F, is the whole check.  transfer is the channel's one
     representation, which apply and the Lindblad comparisons read directly.
-    Both are computed once per set.  dim is 4 for the two-use channels and 2
-    for the single-qubit damping set they are built from.
+    Both are computed once per set.  dim, read from the operators, is 4 for
+    the two-use channels and 2 for the single-qubit damping set they are
+    built from.
     """
 
-    dim: int
     ops: tuple
 
     def __post_init__(self):
-        if self.dim not in (2, 4):
-            raise ValueError(f"unsupported dimension {self.dim}, expected 2 or 4")
-        if not self.ops:
-            raise ValueError("a KrausSet needs at least one operator")
-        frozen = []
-        for op in self.ops:
-            m = np.array(op, dtype=complex)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"operator shape {m.shape} does not match channel dim {self.dim}"
-                )
-            m.flags.writeable = False
-            frozen.append(m)
-        object.__setattr__(self, "ops", tuple(frozen))
+        shapes = sorted({np.shape(op) for op in self.ops})
+        if shapes not in ([(2, 2)], [(4, 4)]):
+            raise ValueError(f"Kraus operators must be all 2x2 or all 4x4, got shapes {shapes}")
+        stack = np.array(self.ops, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operator has non-finite entries")
+        stack.flags.writeable = False
+        object.__setattr__(self, "ops", tuple(stack))
+
+    @property
+    def dim(self) -> int:
+        return self.ops[0].shape[0]
 
     @cached_property
     def completeness_residual(self) -> float:
@@ -206,13 +204,13 @@ def amplitude_damping_kraus(chi: float) -> KrausSet:
     _check_range("chi", chi, 0.0, math.pi / 2)
     e0 = np.array([[math.cos(chi), 0.0], [0.0, 1.0]], dtype=complex)
     e1 = np.array([[0.0, 0.0], [math.sin(chi), 0.0]], dtype=complex)
-    return KrausSet(dim=2, ops=(e0, e1))
+    return KrausSet((e0, e1))
 
 
 def ad_uncorrelated_kraus2(chi: float) -> KrausSet:
     """Two independent uses of the damping channel: all tensor pairs of E0, E1."""
     single = amplitude_damping_kraus(chi).ops
-    return KrausSet(dim=4, ops=tuple(np.kron(a, b) for a in single for b in single))
+    return KrausSet(tuple(np.kron(a, b) for a in single for b in single))
 
 
 def ad_correlated_kraus2(chi: float) -> KrausSet:
@@ -226,7 +224,7 @@ def ad_correlated_kraus2(chi: float) -> KrausSet:
     e00 = np.diag([math.cos(chi), 1.0, 1.0, 1.0]).astype(complex)
     e11 = np.zeros((4, 4), dtype=complex)
     e11[3, 0] = math.sin(chi)
-    return KrausSet(dim=4, ops=(e00, e11))
+    return KrausSet((e00, e11))
 
 
 def dephasing_uncorrelated_kraus(p: float) -> KrausSet:
@@ -234,13 +232,12 @@ def dephasing_uncorrelated_kraus(p: float) -> KrausSet:
     _check_range("p", p, 0.0, 1.0)
     cross = math.sqrt(p * (1.0 - p))
     return KrausSet(
-        dim=4,
-        ops=(
+        (
             (1.0 - p) * np.eye(4, dtype=complex),
             cross * np.kron(IDENTITY_2, SIGMA_Z),
             cross * np.kron(SIGMA_Z, IDENTITY_2),
             p * np.kron(SIGMA_Z, SIGMA_Z),
-        ),
+        )
     )
 
 
@@ -248,11 +245,10 @@ def dephasing_correlated_kraus(p: float) -> KrausSet:
     """Simultaneous phase flip on both uses with probability p."""
     _check_range("p", p, 0.0, 1.0)
     return KrausSet(
-        dim=4,
-        ops=(
+        (
             math.sqrt(1.0 - p) * np.eye(4, dtype=complex),
             math.sqrt(p) * np.kron(SIGMA_Z, SIGMA_Z),
-        ),
+        )
     )
 
 
@@ -269,7 +265,7 @@ def depolarizing_uncorrelated_kraus2(p: float) -> KrausSet:
         for i in range(4)
         for j in range(4)
     )
-    return KrausSet(dim=4, ops=ops)
+    return KrausSet(ops)
 
 
 def depolarizing_correlated_kraus2(p: float) -> KrausSet:
@@ -277,18 +273,16 @@ def depolarizing_correlated_kraus2(p: float) -> KrausSet:
     _check_range("p", p, 0.0, 1.0)
     probs = _pauli_probs(p)
     ops = tuple(math.sqrt(probs[k]) * PAULI_PAIRS[k][k] for k in range(4))
-    return KrausSet(dim=4, ops=ops)
+    return KrausSet(ops)
 
 
 def memory_channel(unc: KrausSet, cor: KrausSet, mu: float) -> KrausSet:
     """Partial-memory mixture: uncorrelated branch weighted 1-mu, correlated mu."""
-    if unc.dim != cor.dim:
-        raise ValueError(f"dimension mismatch: {unc.dim} vs {cor.dim}")
     _check_range("mu", mu, 0.0, 1.0)
     wu = math.sqrt(1.0 - mu)
     wc = math.sqrt(mu)
     ops = tuple(wu * op for op in unc.ops) + tuple(wc * op for op in cor.ops)
-    return KrausSet(dim=unc.dim, ops=ops)
+    return KrausSet(ops)
 
 
 def memory_branches(which: str, param: float) -> tuple:
@@ -314,10 +308,10 @@ def memory_branch_bound(which: str, param: float) -> tuple:
     construction, so completeness is the whole CPTP check, and a small bound
     certifies every mixture without building one.  Returns
     (bound, (unc, cor)) so that a caller which goes on to use the branches
-    builds them once.
+    builds them once.  A NaN residual at either branch makes the bound NaN.
     """
     branches = memory_branches(which, param)
-    return max(check_cptp(branch) for branch in branches), branches
+    return float(np.max([check_cptp(branch) for branch in branches])), branches
 
 
 def build_memory_channel(params: ChannelParams) -> KrausSet:

@@ -26,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,38 +149,21 @@ def cmd_sweep(args) -> int:
 
 @dataclass(frozen=True)
 class CheckSection:
+    """One verify section: its worst residual and the threshold it must meet."""
+
     name: str
     max_residual: float
     threshold: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    sections: tuple
 
     @property
-    def overall(self) -> bool:
-        return all(section.passed for section in self.sections)
-
-    def to_json(self) -> dict:
-        return {
-            "sections": [
-                {
-                    "name": s.name,
-                    "max_residual": s.max_residual,
-                    "threshold": s.threshold,
-                    "pass": s.passed,
-                }
-                for s in self.sections
-            ],
-            "overall": self.overall,
-        }
+    def passed(self) -> bool:
+        return self.max_residual <= self.threshold  # False for a NaN residual
 
 
-def _section(name: str, threshold: float, residual: float) -> CheckSection:
-    residual = float(residual)
-    return CheckSection(name, residual, threshold, residual <= threshold)
+def _worst(residuals: list) -> float:
+    """The largest residual, NaN when any is NaN; Python's max() would keep
+    an earlier value against a later NaN and so hide a broken check."""
+    return float(np.max(residuals))
 
 
 def check_cptp_constructors() -> CheckSection:
@@ -192,10 +175,10 @@ def check_cptp_constructors() -> CheckSection:
     degree mu in [0, 1] at once; and one mixture at MIXTURE_CHECK_MU built by
     build_memory_channel, so that a wrong mixing rule fails the section too.
     """
-    worst = 0.0
+    residuals = []
     for x in (i / 20 for i in range(21)):
         chi = x * math.pi / 2
-        worst = max(worst, channels.check_cptp(channels.amplitude_damping_kraus(chi)))
+        residuals.append(channels.check_cptp(channels.amplitude_damping_kraus(chi)))
         for family, param in (
             (channels.AMPLITUDE_DAMPING, chi),
             (channels.DEPHASING, x),
@@ -205,53 +188,46 @@ def check_cptp_constructors() -> CheckSection:
             mixture = channels.build_memory_channel(
                 channels.ChannelParams.for_family(family, param, MIXTURE_CHECK_MU)
             )
-            worst = max(worst, bound, channels.check_cptp(mixture))
-    return _section("cptp_constructors", 1e-12, worst)
+            residuals += [bound, channels.check_cptp(mixture)]
+    return CheckSection("cptp_constructors", _worst(residuals), 1e-12)
 
 
 def check_eigenoperators() -> CheckSection:
     """||L(R_i) - lambda_i R_i|| for both catalogs at two rates."""
-    worst = 0.0
+    residuals = []
     for rate in (1.0, 0.7):
-        worst = max(
-            worst,
-            max(
-                lindblad.verify_eigen(
-                    lindblad.dephasing_correlated_spec(rate),
-                    lindblad.catalog_dephasing_correlated(rate),
-                )
-            ),
-            max(
-                lindblad.verify_eigen(
-                    lindblad.ad_correlated_spec(rate),
-                    lindblad.catalog_ad_correlated(rate),
-                )
-            ),
+        residuals += lindblad.verify_eigen(
+            lindblad.dephasing_correlated_spec(rate),
+            lindblad.catalog_dephasing_correlated(rate),
         )
-    return _section("lindblad_eigenoperators", 1e-12, worst)
+        residuals += lindblad.verify_eigen(
+            lindblad.ad_correlated_spec(rate),
+            lindblad.catalog_ad_correlated(rate),
+        )
+    return CheckSection("lindblad_eigenoperators", _worst(residuals), 1e-12)
 
 
 def check_duality() -> CheckSection:
-    """Max |tr(L_i R_j) - delta_ij| after the dual-basis solve, at two rates."""
-    worst = 0.0
-    for rate in (1.0, 0.7):
+    """Max |tr(L_i R_j) - delta_ij| of both catalogs' left duals, at two rates."""
+    residuals = [
+        lindblad.duality_residual(cat)
+        for rate in (1.0, 0.7)
         for cat in (
             lindblad.catalog_dephasing_correlated(rate),
             lindblad.catalog_ad_correlated(rate),
-        ):
-            worst = max(worst, lindblad.duality_residual(lindblad.dual_basis(cat)))
-    return _section("duality", 1e-10, worst)
+        )
+    ]
+    return CheckSection("duality", _worst(residuals), 1e-10)
 
 
 def check_kraus_lindblad() -> CheckSection:
     """Exact transfer-matrix gap between spectral evolution and the
     correlated Kraus channels, which bounds the gap for every input state."""
-    dephasing_cat = lindblad.dual_basis(lindblad.catalog_dephasing_correlated(1.0))
-    damping_cat = lindblad.dual_basis(lindblad.catalog_ad_correlated(1.0))
-    worst = 0.0
+    dephasing_cat = lindblad.catalog_dephasing_correlated(1.0)
+    damping_cat = lindblad.catalog_ad_correlated(1.0)
+    residuals = []
     for t in EQUIVALENCE_TIMES:
-        worst = max(
-            worst,
+        residuals += [
             lindblad.kraus_equivalence(
                 dephasing_cat,
                 t,
@@ -264,34 +240,33 @@ def check_kraus_lindblad() -> CheckSection:
                 channels.ad_correlated_kraus2,
                 lambda t: lindblad.damping_angle(1.0, t),
             ),
-        )
-    return _section("kraus_lindblad_equivalence", 1e-10, worst)
+        ]
+    return CheckSection("kraus_lindblad_equivalence", _worst(residuals), 1e-10)
 
 
 def check_uncorrelated_dephasing() -> CheckSection:
     """||expm(t S) - K.transfer||_F for the two-jump generator S and the
     uncorrelated dephasing Kraus set K."""
     s = lindblad.superoperator_matrix(lindblad.dephasing_uncorrelated_spec(1.0))
-    worst = 0.0
+    residuals = []
     for t in EQUIVALENCE_TIMES:
         kraus = channels.dephasing_uncorrelated_kraus(
             lindblad.dephasing_flip_probability(1.0, t)
         )
-        gap = np.linalg.norm(lindblad._expm(t * s) - kraus.transfer)
-        worst = max(worst, float(gap))
-    return _section("uncorrelated_dephasing_generator", 1e-10, worst)
+        residuals.append(np.linalg.norm(lindblad._expm(t * s) - kraus.transfer))
+    return CheckSection("uncorrelated_dephasing_generator", _worst(residuals), 1e-10)
 
 
 def check_closed_forms() -> CheckSection:
     """Closed-form I2 vs the numeric pipeline on 11 x 11 x 5 grids."""
     mus = [i / 10 for i in range(11)]
     thetas = [math.pi / 2 * i / 4 for i in range(5)]
-    worst = 0.0
+    residuals = []
     for tag, lo_hi in (("ad", (0.0, math.pi / 2)), ("dp", (0.0, 1.0))):
         params = [lo_hi[0] + (lo_hi[1] - lo_hi[0]) * i / 10 for i in range(11)]
         sweep = compute_sweep(tag, mus, params, thetas)
-        worst = max(worst, float(np.abs(sweep.numeric - sweep.closed).max()))
-    return _section("closed_form_vs_numeric", 1e-9, worst)
+        residuals.append(np.abs(sweep.numeric - sweep.closed).max())
+    return CheckSection("closed_form_vs_numeric", _worst(residuals), 1e-9)
 
 
 VERIFY_CHECKS = (
@@ -312,9 +287,13 @@ def cmd_verify(args) -> int:
         except Exception as exc:  # report the failing check by name
             print(f"verification check {fn.__name__} failed to run: {exc}", file=sys.stderr)
             return EXIT_VERIFY_FAIL
-    report = VerificationReport(tuple(sections))
-    print(json.dumps(report.to_json(), indent=2))
-    return EXIT_OK if report.overall else EXIT_VERIFY_FAIL
+    overall = all(section.passed for section in sections)
+    report = {
+        "sections": [{**asdict(section), "pass": section.passed} for section in sections],
+        "overall": overall,
+    }
+    print(json.dumps(report, indent=2))
+    return EXIT_OK if overall else EXIT_VERIFY_FAIL
 
 
 # ----------------------------------------------------------------------

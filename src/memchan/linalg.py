@@ -32,12 +32,12 @@ def _finite_square(a, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def hermitian_eigen(a, tol: float = RESIDUAL_TOL) -> np.ndarray:
+def hermitian_eigen(a) -> np.ndarray:
     """Ascending eigenvalues (read-only) of a Hermitian matrix, or of each
     matrix in a (..., n, n) stack, which is solved by one eigvalsh call."""
     a = _finite_square(a, stacked=True)
     defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-    excess = defect - tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    excess = defect - RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     if np.any(excess > 0.0):
         worst = float(defect.flat[np.argmax(excess)])
         raise ValueError(f"matrix is not Hermitian: ||a - a*||_F = {worst:.3e}")

@@ -8,9 +8,10 @@ A generator is a list of (rate, jump) pairs on the two-use space (dim 4),
 here correlated dephasing (jump Z x Z), correlated damping (sigma x sigma)
 and uncorrelated dephasing (jumps I x Z and Z x I).
 
-Channels are evaluated two ways: through a catalog of right eigenoperators
-R_i (L R_i = lambda_i R_i) paired with left duals L_i (tr(L_i R_j) =
-delta_ij, plain trace), giving
+Channels are evaluated two ways: through a catalog of sixteen right
+eigenoperators R_i (L R_i = lambda_i R_i) paired with left duals L_i
+(tr(L_i R_j) = delta_ij, plain trace), which the catalog solves for when it
+is built, giving
 
     pi -> sum_i tr(L_i pi) exp(lambda_i t) R_i,
 
@@ -31,7 +32,7 @@ state, not just a random sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,19 +121,21 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class EigenoperatorCatalog:
-    """Right eigenoperators with eigenvalues, plus left duals once computed."""
+    """Sixteen right eigenoperators of a two-qubit generator with their
+    eigenvalues, and the left duals (dual_basis) solved from them when the
+    catalog is built, so replacing its entries solves them again.  Raises
+    ArithmeticError when the duals miss duality by more than DUALITY_TOL."""
 
-    dim: int
     entries: tuple
-    lefts: tuple | None = None
+    lefts: tuple = field(init=False)
 
     def __post_init__(self):
-        if len(self.entries) != self.dim * self.dim:
-            raise ValueError(
-                f"catalog needs {self.dim * self.dim} entries, got {len(self.entries)}"
-            )
-        if self.lefts is not None and len(self.lefts) != len(self.entries):
-            raise ValueError("lefts must align one-to-one with entries")
+        if len(self.entries) != 16:
+            raise ValueError(f"catalog needs 16 entries, got {len(self.entries)}")
+        object.__setattr__(self, "lefts", dual_basis(self.entries))
+        worst = duality_residual(self)
+        if worst > DUALITY_TOL:
+            raise ArithmeticError(f"duality residual {worst:.3e} exceeds {DUALITY_TOL:g}")
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -189,7 +192,7 @@ def catalog_dephasing_correlated(gamma_rate: float) -> EigenoperatorCatalog:
         lam_0x=-g,
         lam_rest={"R03": 0.0, "R11": 0.0, "R12": 0.0, "R13": -g, "R22": 0.0, "R23": -g},
     )
-    return EigenoperatorCatalog(dim=4, entries=entries)
+    return EigenoperatorCatalog(entries)
 
 
 def catalog_ad_correlated(alpha_rate: float) -> EigenoperatorCatalog:
@@ -209,33 +212,27 @@ def catalog_ad_correlated(alpha_rate: float) -> EigenoperatorCatalog:
         lam_0x=-a / 2.0,
         lam_rest={"R03": -a / 2.0, "R11": 0.0, "R12": 0.0, "R13": 0.0, "R22": 0.0, "R23": 0.0},
     )
-    return EigenoperatorCatalog(dim=4, entries=entries)
+    return EigenoperatorCatalog(entries)
 
 
-def dual_basis(cat: EigenoperatorCatalog) -> EigenoperatorCatalog:
-    """Populate the left duals by solving tr(L_i R_j) = delta_ij.
+def dual_basis(entries) -> tuple:
+    """The left duals of sixteen catalog entries' 4x4 rights, solving
+    tr(L_i R_j) = delta_ij.
 
     With row-major vectorization tr(L R_j) = vec(R_j^T) . vec(L), so the
     lefts are the columns of the inverse of the matrix whose rows are the
     vectorized transposed rights.
     """
-    n = cat.dim
-    gram = np.array([entry.right.T.reshape(-1) for entry in cat.entries])
+    gram = np.array([entry.right.T.reshape(-1) for entry in entries])
     try:
-        sol = linalg.solve_linear(gram, np.eye(n * n, dtype=complex))
+        sol = linalg.solve_linear(gram, np.eye(16, dtype=complex))
     except ValueError as exc:
         raise ValueError(f"right eigenoperators do not span the operator space: {exc}")
-    cat = replace(cat, lefts=tuple(sol.T.reshape(n * n, n, n)))
-    worst = duality_residual(cat)
-    if worst > DUALITY_TOL:
-        raise ArithmeticError(f"duality residual {worst:.3e} exceeds {DUALITY_TOL:g}")
-    return cat
+    return tuple(sol.T.reshape(16, 4, 4))
 
 
 def duality_residual(cat: EigenoperatorCatalog) -> float:
-    """Max |tr(L_i R_j) - delta_ij| over all pairs (lefts must be populated)."""
-    if cat.lefts is None:
-        raise ValueError("catalog has no left operators; run dual_basis first")
+    """Max |tr(L_i R_j) - delta_ij| over all pairs."""
     rights = np.array([entry.right for entry in cat.entries])
     traces = np.einsum("iab,jba->ij", np.array(cat.lefts), rights)
     return float(np.max(np.abs(traces - np.eye(len(rights)))))
@@ -244,15 +241,13 @@ def duality_residual(cat: EigenoperatorCatalog) -> float:
 def evolve(cat: EigenoperatorCatalog, t: float, pi: DensityMatrix) -> DensityMatrix:
     """Spectral map sum_i tr(L_i pi) exp(lambda_i t) R_i = spectral_matrix @ vec(pi)."""
     out = spectral_matrix(cat, t) @ pi.mat.reshape(-1)
-    return DensityMatrix(out.reshape(cat.dim, cat.dim))
+    return DensityMatrix(out.reshape(4, 4))
 
 
 def spectral_matrix(cat: EigenoperatorCatalog, t: float) -> np.ndarray:
     """Transfer matrix of the spectral map at time t, row-major like
     superoperator_matrix: sum_i exp(lambda_i t) vec(R_i) vec(L_i^T)^T,
     since tr(L_i pi) = vec(L_i^T) . vec(pi)."""
-    if cat.lefts is None:
-        raise ValueError("catalog has no left operators; run dual_basis first")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     return sum(

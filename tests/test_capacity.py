@@ -133,7 +133,7 @@ def test_entropy_hand_value():
 # ----------------------------------------------------------------------
 
 def test_i2_identity_channel_is_two():
-    identity = KrausSet(dim=4, ops=(np.eye(4, dtype=complex),))
+    identity = KrausSet((np.eye(4, dtype=complex),))
     for theta in (0.0, 0.3, PI / 4):
         assert abs(mutual_information_numeric(identity, theta_ensemble(theta)) - 2.0) <= 1e-10
 
@@ -149,7 +149,7 @@ def test_i2_fully_damped_correlated_is_three_halves():
 
 
 def test_i2_dimension_mismatch():
-    single = KrausSet(dim=2, ops=(np.eye(2, dtype=complex),))
+    single = KrausSet((np.eye(2, dtype=complex),))
     with pytest.raises(ValueError, match="dim"):
         mutual_information_numeric(single, theta_ensemble(0.0))
 
@@ -160,7 +160,7 @@ def test_i2_negative_difference(monkeypatch, excess):
     # then reads `excess` more, so the difference is about -excess
     entropies = iter([1.0] + [1.0 + excess] * 4)
     monkeypatch.setattr(capacity, "von_neumann_entropy", lambda rho: next(entropies))
-    identity = KrausSet(dim=4, ops=(np.eye(4, dtype=complex),))
+    identity = KrausSet((np.eye(4, dtype=complex),))
     if excess < capacity.TERM_NEGATIVE_TOL:
         assert mutual_information_numeric(identity, theta_ensemble(0.0)) == 0.0
     else:
@@ -211,7 +211,7 @@ def test_i2_kernel_rejects_branch_that_is_not_trace_preserving(monkeypatch):
     def leaky(chi):
         e00, e11 = (op.copy() for op in original(chi).ops)
         e11[3, 0] *= 1.001
-        return KrausSet(dim=4, ops=(e00, e11))
+        return KrausSet((e00, e11))
 
     monkeypatch.setattr(channels, "ad_correlated_kraus2", leaky)
     residual = leaky(0.9).completeness_residual

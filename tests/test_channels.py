@@ -99,12 +99,19 @@ def test_density_matrix_rejects_odd_dimensions():
 
 
 def test_kraus_set_validation():
-    with pytest.raises(ValueError):
-        KrausSet(dim=4, ops=())
-    with pytest.raises(ValueError):
-        KrausSet(dim=4, ops=(np.eye(2),))
-    with pytest.raises(ValueError):
-        KrausSet(dim=3, ops=(np.eye(3),))
+    assert KrausSet((np.eye(2),)).dim == 2
+    assert KrausSet((np.eye(4), np.zeros((4, 4)))).dim == 4
+    for ops in ((), (np.eye(4), np.eye(2)), (np.eye(3),)):
+        with pytest.raises(ValueError, match="all 2x2 or all 4x4"):
+            KrausSet(ops)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kraus_set_rejects_non_finite_operators(bad):
+    op = np.eye(4, dtype=complex)
+    op[3, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        KrausSet((np.eye(4), op))
 
 
 def test_channel_params_validation():
@@ -251,7 +258,7 @@ def test_memory_channel_cptp_at_example_point():
 
 
 def test_memory_channel_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="all 2x2 or all 4x4"):
         memory_channel(amplitude_damping_kraus(0.1), ad_correlated_kraus2(0.1), 0.5)
     with pytest.raises(ValueError):
         memory_channel(ad_uncorrelated_kraus2(0.1), ad_correlated_kraus2(0.1), 1.5)
@@ -304,7 +311,7 @@ def test_correlated_damping_invariant_subspace():
 def test_apply_identity_channel():
     rng = np.random.default_rng(10)
     rho = random_density_matrix(4, rng)
-    out = apply(KrausSet(dim=4, ops=(np.eye(4, dtype=complex),)), rho)
+    out = apply(KrausSet((np.eye(4, dtype=complex),)), rho)
     assert np.allclose(out.mat, rho.mat)
 
 
@@ -343,18 +350,18 @@ def test_apply_rejects_dimension_mismatch():
 def test_apply_rejects_incomplete_kraus_set():
     rng = np.random.default_rng(15)
     e0 = amplitude_damping_kraus(math.pi / 4).ops[0]
-    broken = KrausSet(dim=2, ops=(e0,))
+    broken = KrausSet((e0,))
     with pytest.raises(ValueError, match="trace preserving"):
         apply(broken, random_density_matrix(2, rng))
 
 
 def test_check_cptp_examples():
-    assert check_cptp(KrausSet(dim=4, ops=(np.eye(4, dtype=complex),))) == 0.0
+    assert check_cptp(KrausSet((np.eye(4, dtype=complex),))) == 0.0
     for chi in (0.0, 0.4, 1.2, math.pi / 2):
         assert check_cptp(amplitude_damping_kraus(chi)) <= 1e-15
     # deliberately incomplete set: only the no-decay operator
     e0 = amplitude_damping_kraus(math.pi / 4).ops[0]
-    assert check_cptp(KrausSet(dim=2, ops=(e0,))) > 0.4
+    assert check_cptp(KrausSet((e0,))) > 0.4
 
 
 def test_kraus_transfer_acts_like_apply():
@@ -423,3 +430,10 @@ def test_memory_branch_bound_covers_every_mixture(family, scale_param):
             kraus = build_memory_channel(ChannelParams.for_family(family, param, mu))
             assert check_cptp(kraus) <= bound + 2e-15
 
+
+@pytest.mark.parametrize("nan_branch", [0, 1], ids=["uncorrelated", "correlated"])
+def test_memory_branch_bound_keeps_a_nan_residual(monkeypatch, nan_branch):
+    residuals = iter([math.nan, 0.0] if nan_branch == 0 else [0.0, math.nan])
+    monkeypatch.setattr(channels, "check_cptp", lambda kraus: next(residuals))
+    bound, _ = channels.memory_branch_bound(AMPLITUDE_DAMPING, 0.5)
+    assert math.isnan(bound)

@@ -376,7 +376,7 @@ def test_verify_detects_corrupted_damping_operator(capsys, monkeypatch):
         kraus = original(chi)
         e00, e11 = (op.copy() for op in kraus.ops)
         e11[3, 0] += 3e-11
-        return channels.KrausSet(dim=4, ops=(e00, e11))
+        return channels.KrausSet((e00, e11))
 
     monkeypatch.setattr(channels, "ad_correlated_kraus2", corrupted)
     code, out, _ = run_cli(capsys, "verify")
@@ -392,7 +392,7 @@ def test_verify_detects_wrong_mixing_weights(capsys, monkeypatch):
     # intact, so only the one interior mixture per grid point can see it
     def linear_weights(unc, cor, mu):
         ops = tuple((1.0 - mu) * op for op in unc.ops) + tuple(mu * op for op in cor.ops)
-        return channels.KrausSet(dim=unc.dim, ops=ops)
+        return channels.KrausSet(ops)
 
     monkeypatch.setattr(channels, "memory_channel", linear_weights)
     code, out, _ = run_cli(capsys, "verify")
@@ -471,3 +471,83 @@ def test_verify_detects_wrong_damping_angle(capsys, monkeypatch):
     by_name = {s["name"]: s for s in json.loads(out)["sections"]}
     assert by_name["kraus_lindblad_equivalence"]["pass"] is False
     assert by_name["cptp_constructors"]["pass"] is True
+
+
+def test_check_section_computes_its_verdict():
+    assert cli.CheckSection("s", 1e-10, 1e-10).passed is True
+    assert cli.CheckSection("s", 2e-10, 1e-10).passed is False
+    assert cli.CheckSection("s", math.nan, 1e-10).passed is False
+
+
+@pytest.mark.parametrize("residual", [2e-10, math.nan], ids=["above_threshold", "nan"])
+def test_verify_reports_a_failing_section(capsys, monkeypatch, residual):
+    sections = (
+        lambda: cli.CheckSection("good", 0.0, 1e-10),
+        lambda: cli.CheckSection("bad", residual, 1e-10),
+    )
+    monkeypatch.setattr(cli, "VERIFY_CHECKS", sections)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == EXIT_VERIFY_FAIL
+    report = json.loads(out)
+    assert [s["pass"] for s in report["sections"]] == [True, False]
+    assert report["overall"] is False
+
+
+def _nan_after_first_call(original):
+    # a NaN from every call but the first, so that a max() which keeps an
+    # earlier value against a later NaN would report a pass
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return original(*args) if len(calls) == 1 else math.nan
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "check, module, name, with_nan",
+    [
+        (cli.check_cptp_constructors, channels, "check_cptp", _nan_after_first_call),
+        (
+            cli.check_eigenoperators,
+            lindblad,
+            "verify_eigen",
+            lambda original: lambda spec, cat: original(spec, cat) + [math.nan],
+        ),
+        (cli.check_kraus_lindblad, lindblad, "kraus_equivalence", _nan_after_first_call),
+        (cli.check_uncorrelated_dephasing, lindblad, "_expm", _nan_after_first_call),
+        (
+            cli.check_closed_forms,
+            capacity,
+            "i2_ad_closed",
+            lambda original: lambda *point: (math.nan, None),
+        ),
+    ],
+    ids=["cptp", "eigenoperators", "kraus_lindblad", "uncorrelated_dephasing", "closed_forms"],
+)
+def test_verify_sections_keep_a_nan_residual(monkeypatch, check, module, name, with_nan):
+    monkeypatch.setattr(module, name, with_nan(getattr(module, name)))
+    section = check()
+    assert math.isnan(section.max_residual)
+    assert section.passed is False
+
+
+def test_nan_kraus_operator_fails_verify(capsys, monkeypatch):
+    original = channels.ad_correlated_kraus2
+
+    def with_nan(chi):
+        e00, e11 = (op.copy() for op in original(chi).ops)
+        e11[3, 0] = math.nan
+        return channels.KrausSet((e00, e11))
+
+    monkeypatch.setattr(channels, "ad_correlated_kraus2", with_nan)
+    for check in (cli.check_cptp_constructors, cli.check_kraus_lindblad):
+        with pytest.raises(ValueError, match="non-finite"):
+            check()
+    with pytest.raises(ValueError, match="non-finite"):
+        channels.memory_branch_bound(channels.AMPLITUDE_DAMPING, 0.5)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == EXIT_VERIFY_FAIL
+    assert out == ""
+    assert "check_cptp_constructors failed to run" in err

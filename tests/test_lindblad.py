@@ -18,6 +18,7 @@ from memchan.channels import (
 from memchan.lindblad import (
     LOWERING,
     CatalogEntry,
+    EigenoperatorCatalog,
     LindbladSpec,
     ad_correlated_spec,
     catalog_ad_correlated,
@@ -26,7 +27,6 @@ from memchan.lindblad import (
     dephasing_correlated_spec,
     dephasing_flip_probability,
     dephasing_uncorrelated_spec,
-    dual_basis,
     duality_residual,
     evolve,
     evolve_superoperator,
@@ -226,7 +226,7 @@ def test_dephasing_lefts_are_adjoint_rights():
     # the plain-trace Gram matrix of these rights is diagonal with entries
     # tr(R R) = +1 for the symmetric/diagonal operators and -1 for the
     # antisymmetric ones, so the duals are the adjoints, not the rights
-    cat = dual_basis(catalog_dephasing_correlated(1.0))
+    cat = catalog_dephasing_correlated(1.0)
     for entry, left in zip(cat.entries, cat.lefts):
         assert np.linalg.norm(left - entry.right.conj().T) <= 1e-12
     minus = {e.label: e.right for e in cat.entries}["R01-"]
@@ -234,14 +234,36 @@ def test_dephasing_lefts_are_adjoint_rights():
 
 
 def test_ad_left_of_r00_is_projector_mix():
-    cat = dual_basis(catalog_ad_correlated(1.0))
+    cat = catalog_ad_correlated(1.0)
     want = np.diag([1, 0, 0, 1]) / math.sqrt(2)
     assert np.linalg.norm(cat.lefts[0] - want) <= 1e-12
 
 
 def test_duality_residuals():
     for cat in (catalog_dephasing_correlated(1.0), catalog_ad_correlated(0.7)):
-        assert duality_residual(dual_basis(cat)) <= 1e-10
+        assert duality_residual(cat) <= 1e-10
+
+
+def test_catalog_solves_its_own_duals():
+    cat = catalog_dephasing_correlated(0.7)
+    assert all(
+        np.array_equal(a, b) for a, b in zip(EigenoperatorCatalog(cat.entries).lefts, cat.lefts)
+    )
+    assert len(cat.lefts) == 16
+    with pytest.raises(TypeError):
+        EigenoperatorCatalog(cat.entries, cat.lefts)
+
+
+def test_catalog_needs_sixteen_entries():
+    cat = catalog_ad_correlated(1.0)
+    with pytest.raises(ValueError, match="16 entries, got 15"):
+        EigenoperatorCatalog(cat.entries[:15])
+
+
+def test_catalog_rejects_duals_that_miss_duality(monkeypatch):
+    monkeypatch.setattr(lindblad, "duality_residual", lambda cat: 2e-10)
+    with pytest.raises(ArithmeticError, match="duality residual"):
+        catalog_ad_correlated(1.0)
 
 
 def _all_rights_equal(cat):
@@ -265,16 +287,16 @@ def _second_right_near_first(cat):
 def test_duality_requires_spanning_rights(degenerate):
     cat = catalog_ad_correlated(1.0)
     with pytest.raises(ValueError, match="span"):
-        dual_basis(replace(cat, entries=degenerate(cat)))
+        EigenoperatorCatalog(degenerate(cat))
 
 
 def test_rescaling_rights_rescales_lefts_and_keeps_map():
     rng = np.random.default_rng(3)
-    cat = dual_basis(catalog_ad_correlated(1.0))
+    cat = catalog_ad_correlated(1.0)
     scaled_entries = tuple(
         CatalogEntry(e.label, 2.5 * e.right, e.eigenvalue) for e in cat.entries
     )
-    scaled = dual_basis(replace(cat, entries=scaled_entries, lefts=None))
+    scaled = replace(cat, entries=scaled_entries)  # solves the duals again
     for left, orig in zip(scaled.lefts, cat.lefts):
         assert np.linalg.norm(left - orig / 2.5) <= 1e-12
     rho = random_density_matrix(4, rng)
@@ -286,34 +308,31 @@ def test_rescaling_rights_rescales_lefts_and_keeps_map():
 # evolve
 # ----------------------------------------------------------------------
 
-def test_evolve_requires_lefts_and_nonnegative_time():
+def test_evolve_requires_nonnegative_time():
     cat = catalog_ad_correlated(1.0)
     rng = np.random.default_rng(4)
     rho = random_density_matrix(4, rng)
-    with pytest.raises(ValueError, match="left"):
-        evolve(cat, 1.0, rho)
     with pytest.raises(ValueError, match="nonnegative"):
-        evolve(dual_basis(cat), -1.0, rho)
+        evolve(cat, -1.0, rho)
 
 
 def test_evolve_time_zero_is_identity():
     rng = np.random.default_rng(5)
     for cat in (catalog_dephasing_correlated(1.0), catalog_ad_correlated(1.0)):
-        cat = dual_basis(cat)
         for _ in range(10):
             rho = random_density_matrix(4, rng)
             assert np.linalg.norm(evolve(cat, 0.0, rho).mat - rho.mat) <= 1e-10
 
 
 def test_evolve_dephasing_protects_phi_plus_forever():
-    cat = dual_basis(catalog_dephasing_correlated(1.0))
+    cat = catalog_dephasing_correlated(1.0)
     phi_plus = pure_state(np.array([1, 0, 0, 1], dtype=complex))
     out = evolve(cat, 50.0, phi_plus)
     assert np.linalg.norm(out.mat - phi_plus.mat) <= 1e-12
 
 
 def test_evolve_damping_sends_00_to_11_eventually():
-    cat = dual_basis(catalog_ad_correlated(1.0))
+    cat = catalog_ad_correlated(1.0)
     start = pure_state(np.array([1, 0, 0, 0], dtype=complex))
     end = pure_state(np.array([0, 0, 0, 1], dtype=complex))
     out = evolve(cat, 60.0, start)
@@ -323,7 +342,6 @@ def test_evolve_damping_sends_00_to_11_eventually():
 def test_evolve_semigroup_property():
     rng = np.random.default_rng(6)
     for cat in (catalog_dephasing_correlated(0.8), catalog_ad_correlated(1.2)):
-        cat = dual_basis(cat)
         for s, t in ((0.3, 0.9), (1.0, 2.0)):
             rho = random_density_matrix(4, rng)
             joint = evolve(cat, s + t, rho)
@@ -334,7 +352,6 @@ def test_evolve_semigroup_property():
 def test_spectral_matrix_acts_like_evolve():
     rng = np.random.default_rng(11)
     for cat in (catalog_dephasing_correlated(0.8), catalog_ad_correlated(1.2)):
-        cat = dual_basis(cat)
         for t in (0.0, 0.4, 3.0):
             m = spectral_matrix(cat, t)
             rho = random_density_matrix(4, rng)
@@ -352,18 +369,15 @@ def test_spectral_matrix_matches_exponentiated_generator():
         (dephasing_correlated_spec(0.8), catalog_dephasing_correlated(0.8)),
         (ad_correlated_spec(1.2), catalog_ad_correlated(1.2)),
     ):
-        cat = dual_basis(cat)
         s = superoperator_matrix(spec)
         for t in EQUIV_TIMES:
             assert np.linalg.norm(spectral_matrix(cat, t) - lindblad._expm(t * s)) <= 1e-12
 
 
-def test_spectral_matrix_requires_lefts_and_nonnegative_time():
+def test_spectral_matrix_requires_nonnegative_time():
     cat = catalog_dephasing_correlated(1.0)
-    with pytest.raises(ValueError, match="left"):
-        spectral_matrix(cat, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        spectral_matrix(dual_basis(cat), -1.0)
+        spectral_matrix(cat, -1.0)
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +389,7 @@ def test_kraus_equivalence_dephasing_ln2():
     gamma = 1.0
     t = math.log(2.0)
     assert abs(dephasing_flip_probability(gamma, t) - 0.25) < 1e-15
-    cat = dual_basis(catalog_dephasing_correlated(gamma))
+    cat = catalog_dephasing_correlated(gamma)
     residual = kraus_equivalence(
         cat, t, dephasing_correlated_kraus, lambda tt: dephasing_flip_probability(gamma, tt)
     )
@@ -384,7 +398,7 @@ def test_kraus_equivalence_dephasing_ln2():
 
 def test_kraus_equivalence_damping_identity_and_pi_third():
     alpha = 1.0
-    cat = dual_basis(catalog_ad_correlated(alpha))
+    cat = catalog_ad_correlated(alpha)
     angle = lambda tt: damping_angle(alpha, tt)
 
     assert damping_angle(alpha, 0.0) == 0.0
@@ -398,8 +412,8 @@ def test_kraus_equivalence_damping_identity_and_pi_third():
 @pytest.mark.parametrize("t", EQUIV_TIMES)
 def test_kraus_equivalence_time_grid(t):
     gamma = alpha = 1.0
-    dephasing_cat = dual_basis(catalog_dephasing_correlated(gamma))
-    damping_cat = dual_basis(catalog_ad_correlated(alpha))
+    dephasing_cat = catalog_dephasing_correlated(gamma)
+    damping_cat = catalog_ad_correlated(alpha)
     assert (
         kraus_equivalence(
             dephasing_cat,
