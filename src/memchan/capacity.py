@@ -50,7 +50,7 @@ class InputEnsemble:
         if not self.states or len(self.probs) != len(self.states):
             raise ValueError("probs and states must be nonempty and aligned")
         probs = tuple(float(q) for q in self.probs)
-        if any(q < 0.0 for q in probs):
+        if not all(q >= 0.0 for q in probs):  # a NaN probability fails too
             raise ValueError("probabilities must be nonnegative")
         total = sum(probs)
         if abs(total - 1.0) > SUM_TOL:
@@ -86,7 +86,10 @@ def theta_ensemble(theta: float) -> InputEnsemble:
 
 def _entropy_bits(spectra) -> np.ndarray:
     """-sum lam log2 lam over the last axis: each eigenvalue is clamped into
-    [0, 1], and one at or below TERM_CLAMP counts as 0 (0 log 0 = 0)."""
+    [0, 1], and one at or below TERM_CLAMP counts as 0 (0 log 0 = 0).  A NaN
+    eigenvalue raises ArithmeticError, since the clamps would read it as 0."""
+    if np.isnan(spectra).any():
+        raise ArithmeticError("spectrum has NaN entries")
     lam = np.clip(spectra, 0.0, 1.0)
     kept = lam > TERM_CLAMP
     return np.sum(np.where(kept, -lam * np.log2(np.where(kept, lam, 1.0)), 0.0), axis=-1)
@@ -95,11 +98,11 @@ def _entropy_bits(spectra) -> np.ndarray:
 def _holevo(s_avg, s_outputs, probs) -> np.ndarray:
     """S(avg) - sum_i q_i S(output_i), elementwise.  I2 is never negative: a
     difference in [-TERM_NEGATIVE_TOL, 0) is rounding and reads 0, and one
-    below it raises ArithmeticError."""
+    below it, or a NaN, raises ArithmeticError."""
     holevo = s_avg
     for q, s in zip(probs, s_outputs):
         holevo = holevo - q * s
-    if np.any(holevo < -TERM_NEGATIVE_TOL):
+    if not np.all(holevo >= -TERM_NEGATIVE_TOL):
         raise ArithmeticError(f"I2 {float(np.min(holevo))!r} is negative beyond tolerance")
     return np.where(holevo > 0.0, holevo, 0.0)
 
@@ -153,7 +156,7 @@ class I2Kernel:
         transfers = np.empty((len(params), 2, 16, 16), dtype=complex)
         for i, param in enumerate(params):
             bound, branches = memory_branch_bound(family, float(param))
-            if bound > CPTP_APPLY_TOL:
+            if not bound <= CPTP_APPLY_TOL:  # a NaN bound fails too
                 raise ValueError(f"memory branches are not trace preserving: residual {bound:.3e}")
             transfers[i] = [b.transfer for b in branches]
         # outputs of the uncorrelated and correlated branches, moved from

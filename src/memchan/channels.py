@@ -7,6 +7,9 @@ Three channel families are provided, each parameterized as follows:
 * depolarizing -- error probability p in [0, 1] shared equally by the
   three Pauli errors.
 
+Dephasing and depolarizing are Pauli channels and share one construction
+from their (Pauli index, q) weights; dephasing's list only I and Z.
+
 Each family has an uncorrelated two-use form (independent noise on the two
 uses) and a correlated form (both uses suffer the same noise); the partial
 memory channel mixes them with weight mu.  Basis conventions: single-qubit
@@ -23,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .linalg import IDENTITY_2, PAULI_PAIRS, SIGMA_Z
+from .linalg import PAULI_PAIRS
 
 DENSITY_TOL = 1e-10      # Hermiticity / trace / positivity gates
 CPTP_APPLY_TOL = 1e-10   # completeness residual allowed when applying a channel
@@ -42,7 +45,8 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> None:
 def check_density_form(m: np.ndarray) -> np.ndarray:
     """The form half of the density checks: raise unless every matrix of m, one
     (d, d) matrix or a (..., d, d) stack, is finite, Hermitian and unit trace
-    at DENSITY_TOL, checked in that order.  Returns m."""
+    at DENSITY_TOL, checked in that order.  Returns m.  The one place a
+    density matrix's form is checked: the eigensolve after it checks nothing."""
     if not np.all(np.isfinite(m)):
         raise ValueError("density matrix has non-finite entries")
     herm = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
@@ -59,7 +63,7 @@ def check_positive_spectra(spectra: np.ndarray) -> np.ndarray:
     """The positivity half of the density checks: raise unless every ascending
     spectrum in spectra (last axis) is at least -DENSITY_TOL.  Returns spectra."""
     lowest = float(spectra[..., 0].min(initial=0.0))
-    if lowest < -DENSITY_TOL:
+    if not lowest >= -DENSITY_TOL:  # a NaN eigenvalue fails too
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lowest:.3e}")
     return spectra
 
@@ -164,7 +168,7 @@ class KrausSet:
 
     def require_trace_preserving(self) -> None:
         """Raise ValueError when the completeness residual exceeds CPTP_APPLY_TOL."""
-        if (residual := self.completeness_residual) > CPTP_APPLY_TOL:
+        if not (residual := self.completeness_residual) <= CPTP_APPLY_TOL:  # NaN fails
             raise ValueError(f"Kraus set is not trace preserving: residual {residual:.3e}")
 
 
@@ -227,53 +231,43 @@ def ad_correlated_kraus2(chi: float) -> KrausSet:
     return KrausSet((e00, e11))
 
 
-def dephasing_uncorrelated_kraus(p: float) -> KrausSet:
-    """Independent phase flips on each use with probability p."""
+def _pauli_weights(p: float, errors: tuple) -> tuple:
+    """(Pauli index, probability) pairs of a single-use Pauli channel: the
+    identity with 1 - p, and p shared equally by the error Paulis."""
     _check_range("p", p, 0.0, 1.0)
-    cross = math.sqrt(p * (1.0 - p))
+    return ((0, 1.0 - p),) + tuple((k, p / len(errors)) for k in errors)
+
+
+def _pauli_uncorrelated(weights) -> KrausSet:
+    """Independent Pauli errors on the two uses: sqrt(q_i q_j) s_i x s_j."""
     return KrausSet(
-        (
-            (1.0 - p) * np.eye(4, dtype=complex),
-            cross * np.kron(IDENTITY_2, SIGMA_Z),
-            cross * np.kron(SIGMA_Z, IDENTITY_2),
-            p * np.kron(SIGMA_Z, SIGMA_Z),
-        )
+        tuple(math.sqrt(qi * qj) * PAULI_PAIRS[i][j] for i, qi in weights for j, qj in weights)
     )
+
+
+def _pauli_correlated(weights) -> KrausSet:
+    """The same Pauli error on both uses: sqrt(q_k) s_k x s_k."""
+    return KrausSet(tuple(math.sqrt(q) * PAULI_PAIRS[k][k] for k, q in weights))
+
+
+def dephasing_uncorrelated_kraus(p: float) -> KrausSet:
+    """Independent phase flips on each use with probability p (4 operators)."""
+    return _pauli_uncorrelated(_pauli_weights(p, (3,)))
 
 
 def dephasing_correlated_kraus(p: float) -> KrausSet:
-    """Simultaneous phase flip on both uses with probability p."""
-    _check_range("p", p, 0.0, 1.0)
-    return KrausSet(
-        (
-            math.sqrt(1.0 - p) * np.eye(4, dtype=complex),
-            math.sqrt(p) * np.kron(SIGMA_Z, SIGMA_Z),
-        )
-    )
-
-
-def _pauli_probs(p: float) -> tuple:
-    return (1.0 - p, p / 3.0, p / 3.0, p / 3.0)
+    """Simultaneous phase flip on both uses with probability p (2 operators)."""
+    return _pauli_correlated(_pauli_weights(p, (3,)))
 
 
 def depolarizing_uncorrelated_kraus2(p: float) -> KrausSet:
-    """Independent Pauli errors on the two uses: 16 operators sqrt(p_i p_j) s_i x s_j."""
-    _check_range("p", p, 0.0, 1.0)
-    probs = _pauli_probs(p)
-    ops = tuple(
-        math.sqrt(probs[i] * probs[j]) * PAULI_PAIRS[i][j]
-        for i in range(4)
-        for j in range(4)
-    )
-    return KrausSet(ops)
+    """Independent Pauli errors on the two uses (16 operators)."""
+    return _pauli_uncorrelated(_pauli_weights(p, (1, 2, 3)))
 
 
 def depolarizing_correlated_kraus2(p: float) -> KrausSet:
-    """The same Pauli error on both uses: 4 operators sqrt(p_k) s_k x s_k."""
-    _check_range("p", p, 0.0, 1.0)
-    probs = _pauli_probs(p)
-    ops = tuple(math.sqrt(probs[k]) * PAULI_PAIRS[k][k] for k in range(4))
-    return KrausSet(ops)
+    """The same Pauli error on both uses (4 operators)."""
+    return _pauli_correlated(_pauli_weights(p, (1, 2, 3)))
 
 
 def memory_channel(unc: KrausSet, cor: KrausSet, mu: float) -> KrausSet:

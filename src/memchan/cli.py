@@ -227,18 +227,13 @@ def check_kraus_lindblad() -> CheckSection:
     damping_cat = lindblad.catalog_ad_correlated(1.0)
     residuals = []
     for t in EQUIVALENCE_TIMES:
+        p, chi = lindblad.dephasing_flip_probability(1.0, t), lindblad.damping_angle(1.0, t)
         residuals += [
             lindblad.kraus_equivalence(
-                dephasing_cat,
-                t,
-                channels.dephasing_correlated_kraus,
-                lambda t: lindblad.dephasing_flip_probability(1.0, t),
+                lindblad.spectral_matrix(dephasing_cat, t), channels.dephasing_correlated_kraus(p)
             ),
             lindblad.kraus_equivalence(
-                damping_cat,
-                t,
-                channels.ad_correlated_kraus2,
-                lambda t: lindblad.damping_angle(1.0, t),
+                lindblad.spectral_matrix(damping_cat, t), channels.ad_correlated_kraus2(chi)
             ),
         ]
     return CheckSection("kraus_lindblad_equivalence", _worst(residuals), 1e-10)
@@ -248,12 +243,13 @@ def check_uncorrelated_dephasing() -> CheckSection:
     """||expm(t S) - K.transfer||_F for the two-jump generator S and the
     uncorrelated dephasing Kraus set K."""
     s = lindblad.superoperator_matrix(lindblad.dephasing_uncorrelated_spec(1.0))
-    residuals = []
-    for t in EQUIVALENCE_TIMES:
-        kraus = channels.dephasing_uncorrelated_kraus(
-            lindblad.dephasing_flip_probability(1.0, t)
+    residuals = [
+        lindblad.kraus_equivalence(
+            lindblad._expm(t * s),
+            channels.dephasing_uncorrelated_kraus(lindblad.dephasing_flip_probability(1.0, t)),
         )
-        residuals.append(np.linalg.norm(lindblad._expm(t * s) - kraus.transfer))
+        for t in EQUIVALENCE_TIMES
+    ]
     return CheckSection("uncorrelated_dephasing_generator", _worst(residuals), 1e-10)
 
 

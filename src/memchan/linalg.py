@@ -1,11 +1,10 @@
-"""Pauli constants and two validated numpy solves.  Both refuse non-square or
-non-finite input; ``hermitian_eigen`` also a non-Hermitian matrix or stack, and
-``solve_linear`` one that is singular to a relative tolerance, where numpy
-rejects only an exact zero pivot."""
+"""Pauli constants and two numpy solves.  ``solve_linear`` refuses non-square
+or non-finite input and a matrix singular to a relative tolerance, where numpy
+rejects only an exact zero pivot.  ``hermitian_eigen`` checks nothing itself:
+its caller, ``channels.density_spectra``, checks the density form first."""
 
 import numpy as np
 
-RESIDUAL_TOL = 1e-10    # Hermiticity gate relative to max(1, ||a||_F)
 PIVOT_TOL = 1e-12       # floor on 1 / (||a||_F ||a^-1||_F)
 
 
@@ -23,30 +22,20 @@ PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_PAIRS = tuple(tuple(_readonly(np.kron(a, b)) for b in PAULIS) for a in PAULIS)
 
 
-def _finite_square(a, stacked: bool = False) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
 def hermitian_eigen(a) -> np.ndarray:
     """Ascending eigenvalues (read-only) of a Hermitian matrix, or of each
-    matrix in a (..., n, n) stack, which is solved by one eigvalsh call."""
-    a = _finite_square(a, stacked=True)
-    defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-    excess = defect - RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
-    if np.any(excess > 0.0):
-        worst = float(defect.flat[np.argmax(excess)])
-        raise ValueError(f"matrix is not Hermitian: ||a - a*||_F = {worst:.3e}")
+    matrix in a (..., n, n) stack, by one eigvalsh call.  Unchecked: eigvalsh
+    reads one triangle, so check the form first (channels.check_density_form)."""
     return _readonly(np.linalg.eigvalsh(a))
 
 
 def solve_linear(a, b) -> np.ndarray:
     """Solve a @ x = b for a vector or stacked right-hand sides b."""
-    a = _finite_square(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
     rcond = 1.0 / float(np.linalg.cond(a, "fro"))  # 0.0 when a is exactly singular
     if rcond <= PIVOT_TOL:
         msg = f"reciprocal condition number {rcond:.3e} (floor {PIVOT_TOL:g})"

@@ -24,9 +24,9 @@ Every map is a row-major transfer matrix, the representation channels.apply
 uses for Kraus sets (KrausSet.transfer): L(pi) is
 superoperator_matrix(spec) @ vec(pi), evolve is
 spectral_matrix(cat, t) @ vec(pi), and evolve_superoperator is
-expm(t S) @ vec(pi).  kraus_equivalence compares those matrices directly,
-so the Kraus/Lindblad gap it reports is exact and holds for every input
-state, not just a random sample.
+expm(t S) @ vec(pi).  kraus_equivalence(transfer, kraus) is the one
+Kraus/Lindblad gap, ||transfer - kraus.transfer||_F, for either Lindblad
+matrix; it is exact and holds for every input state, not a random sample.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ LOWERING = np.array([[0, 0], [1, 0]], dtype=complex)
 LOWERING.flags.writeable = False
 
 
+def _check_nonnegative(**values: float) -> None:
+    for name, value in values.items():
+        if not value >= 0.0:  # False for NaN as well
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LindbladSpec:
     """Jump-operator form of a two-qubit generator: (rate, jump) pairs, each
@@ -60,8 +66,7 @@ class LindbladSpec:
         frozen = []
         for rate, jump in self.terms:
             rate = float(rate)
-            if rate < 0.0:
-                raise ValueError(f"rates must be nonnegative, got {rate!r}")
+            _check_nonnegative(rates=rate)
             m = np.array(jump, dtype=complex)
             if m.shape != (4, 4):
                 raise ValueError(f"jump operator shape {m.shape} is not (4, 4)")
@@ -181,8 +186,7 @@ def catalog_dephasing_correlated(gamma_rate: float) -> EigenoperatorCatalog:
     A matrix unit |i><j| decays at rate Gamma exactly when the parities
     z_i z_j disagree, so the spectrum is {0, -Gamma} only.
     """
-    if gamma_rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {gamma_rate!r}")
+    _check_nonnegative(rate=gamma_rate)
     g = float(gamma_rate)
     r00 = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
     entries = _catalog_entries(
@@ -201,8 +205,7 @@ def catalog_ad_correlated(alpha_rate: float) -> EigenoperatorCatalog:
     Coherences to |00> decay at alpha/2, the |00> population relaxes into
     |11> at alpha, and everything supported away from |00> is frozen.
     """
-    if alpha_rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {alpha_rate!r}")
+    _check_nonnegative(rate=alpha_rate)
     a = float(alpha_rate)
     r00 = _INV_SQRT2 * np.diag([0.0, 0.0, 0.0, 2.0]).astype(complex)
     entries = _catalog_entries(
@@ -248,8 +251,7 @@ def spectral_matrix(cat: EigenoperatorCatalog, t: float) -> np.ndarray:
     """Transfer matrix of the spectral map at time t, row-major like
     superoperator_matrix: sum_i exp(lambda_i t) vec(R_i) vec(L_i^T)^T,
     since tr(L_i pi) = vec(L_i^T) . vec(pi)."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    _check_nonnegative(time=t)
     return sum(
         math.exp(entry.eigenvalue * t) * np.outer(entry.right.reshape(-1), left.T.reshape(-1))
         for entry, left in zip(cat.entries, cat.lefts)
@@ -267,25 +269,25 @@ def verify_eigen(spec: LindbladSpec, cat: EigenoperatorCatalog) -> list:
 
 def dephasing_flip_probability(gamma_rate: float, t: float) -> float:
     """Phase-flip probability accumulated by time t: (1 - exp(-Gamma t)) / 2."""
+    _check_nonnegative(rate=gamma_rate, time=t)
     return 0.5 * (1.0 - math.exp(-gamma_rate * t))
 
 
 def damping_angle(alpha_rate: float, t: float) -> float:
     """Damping angle chi(t) with cos(chi) = exp(-alpha t / 2)."""
+    _check_nonnegative(rate=alpha_rate, time=t)
     return math.acos(math.exp(-0.5 * alpha_rate * t))
 
 
-def kraus_equivalence(cat: EigenoperatorCatalog, t: float, kraus_builder, param_map) -> float:
-    """Exact gap ||spectral_matrix(cat, t) - K.transfer||_F between the
-    spectral map at time t and the Kraus channel K = kraus_builder(param_map(t)).
+def kraus_equivalence(transfer: np.ndarray, kraus: KrausSet) -> float:
+    """Exact gap ||transfer - kraus.transfer||_F between a Lindblad map's
+    transfer matrix (spectral_matrix(cat, t) or expm(t S)) and a Kraus set.
 
     The Frobenius norm of the transfer-matrix difference bounds the output
     gap ||Phi_1(rho) - Phi_2(rho)||_F for every input with ||rho||_F <= 1,
     so the check covers all states rather than a sample.
     """
-    spectral = spectral_matrix(cat, t)
-    kraus: KrausSet = kraus_builder(param_map(t))
-    return float(np.linalg.norm(spectral - kraus.transfer))
+    return float(np.linalg.norm(transfer - kraus.transfer))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -309,8 +311,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def evolve_superoperator(spec: LindbladSpec, t: float, pi: DensityMatrix) -> DensityMatrix:
     """Evolve pi for time t by exponentiating the vectorized generator."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    _check_nonnegative(time=t)
     prop = _expm(t * superoperator_matrix(spec))
     n = spec.terms[0][1].shape[0]
     return DensityMatrix((prop @ pi.mat.reshape(-1)).reshape(n, n))

@@ -26,6 +26,7 @@ from memchan.channels import (
     ChannelParams,
     DensityMatrix,
     KrausSet,
+    apply,
     build_memory_channel,
     pure_state,
 )
@@ -128,6 +129,23 @@ def test_entropy_hand_value():
     assert abs(von_neumann_entropy(rho) - 1.5) <= 1e-12
 
 
+def test_entropy_refuses_a_nan_eigenvalue():
+    # the clamps into [0, 1] would otherwise read NaN as a zero eigenvalue
+    with pytest.raises(ArithmeticError, match="NaN"):
+        capacity._entropy_bits(np.array([math.nan, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "s_avg, s_outputs",
+    [(math.nan, [0.0] * 4), (np.array([1.0, math.nan]), [np.zeros(2)] * 4)],
+    ids=["scalar", "one_of_a_slice"],
+)
+def test_holevo_refuses_nan(s_avg, s_outputs):
+    # a NaN difference is not rounding below 0, so it must not read 0
+    with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
+        capacity._holevo(s_avg, s_outputs, (0.25,) * 4)
+
+
 # ----------------------------------------------------------------------
 # numeric mutual information
 # ----------------------------------------------------------------------
@@ -217,6 +235,17 @@ def test_i2_kernel_rejects_branch_that_is_not_trace_preserving(monkeypatch):
     residual = leaky(0.9).completeness_residual
     assert residual > channels.CPTP_APPLY_TOL
     with pytest.raises(ValueError, match=f"not trace preserving: residual {residual:.3e}"):
+        I2Kernel(AMPLITUDE_DAMPING, [0.9], [0.0])
+
+
+def test_i2_kernel_refuses_a_nan_branch_bound(monkeypatch):
+    original = capacity.memory_branch_bound
+    monkeypatch.setattr(
+        capacity,
+        "memory_branch_bound",
+        lambda family, param: (math.nan, original(family, param)[1]),
+    )
+    with pytest.raises(ValueError, match="not trace preserving: residual nan"):
         I2Kernel(AMPLITUDE_DAMPING, [0.9], [0.0])
 
 
@@ -453,6 +482,39 @@ def test_closed_vs_numeric_on_coarse_grid():
             numeric = mutual_information_numeric(dp_channel(p, mu), theta_ensemble(PI / 4))
             closed, _ = i2_depolarizing_closed(p, mu, PI / 4)
             assert abs(numeric - closed) <= 1e-9
+
+
+def _output_spectra(kraus, theta):
+    """Ascending spectra of the four ensemble outputs, then of their average."""
+    ensemble = theta_ensemble(theta)
+    outputs = [apply(kraus, state) for state in ensemble.states]
+    avg = DensityMatrix(sum(q * out.mat for q, out in zip(ensemble.probs, outputs)))
+    return [out.eigenvalues for out in outputs] + [avg.eigenvalues]
+
+
+def test_closed_form_groups_are_the_output_spectra():
+    # I2 alone could hide compensating errors between term groups, so each
+    # sorted group must equal the spectrum it stands for, on verify's
+    # 11 x 11 x 5 grids: t the average output, u and v outputs 0 and 1, w
+    # (padded with two zeros) outputs 2 and 3, and e every dp output
+    mus = [i / 10 for i in range(11)]
+    thetas = [PI / 2 * i / 4 for i in range(5)]
+    gaps, points = [], []
+    for mu in mus:
+        for x in (i / 10 for i in range(11)):
+            chi = PI / 2 * x
+            ad, dp = ad_channel(chi, mu), dp_channel(x, mu)
+            for theta in thetas:
+                g = i2_ad_closed(chi, mu, theta)[1].terms
+                out0, out1, out2, out3, avg = _output_spectra(ad, theta)
+                w = g["w"] + (0.0, 0.0)
+                pairs = [(g["t"], avg), (g["u"], out0), (g["v"], out1), (w, out2), (w, out3)]
+                e = i2_depolarizing_closed(x, mu, theta)[1].terms["e"]
+                pairs += [(e, out) for out in _output_spectra(dp, theta)[:4]]
+                gaps += [np.max(np.abs(np.sort(group) - spectrum)) for group, spectrum in pairs]
+                points += [(x, mu, theta)] * len(pairs)
+    worst = int(np.argmax(gaps))  # the first NaN, if there is one
+    assert gaps[worst] <= 1e-12, (gaps[worst], points[worst])
 
 
 def test_theta_reflection_symmetry():

@@ -93,6 +93,11 @@ def test_density_spectra_checks_every_matrix_of_a_stack():
             channels.density_spectra(bad)
 
 
+def test_positive_spectra_refuses_a_nan_eigenvalue():
+    with pytest.raises(ValueError, match="positive semidefinite: min eigenvalue nan"):
+        channels.check_positive_spectra(np.array([math.nan, 1.0]))
+
+
 def test_density_matrix_rejects_odd_dimensions():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(3) / 3)
@@ -112,6 +117,14 @@ def test_kraus_set_rejects_non_finite_operators(bad):
     op[3, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         KrausSet((np.eye(4), op))
+
+
+def test_require_trace_preserving_refuses_a_nan_residual():
+    # finite operators whose K*K overflows: inf - inf makes the residual NaN
+    kraus = KrausSet((np.full((2, 2), 1e200 + 1e200j),))
+    assert math.isnan(kraus.completeness_residual)
+    with pytest.raises(ValueError, match="not trace preserving: residual nan"):
+        kraus.require_trace_preserving()
 
 
 def test_channel_params_validation():

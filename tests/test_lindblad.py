@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from memchan import lindblad
+from memchan.capacity import InputEnsemble, theta_ensemble
 from memchan.channels import (
     ad_correlated_kraus2,
     ad_uncorrelated_kraus2,
@@ -44,6 +45,9 @@ ALL_SPECS = (
     ad_correlated_spec(1.1),
     dephasing_uncorrelated_spec(0.6),
 )
+_DEPHASING_CAT = catalog_dephasing_correlated(1.0)
+_STATES = theta_ensemble(0.0).states
+_RHO = pure_state([1, 0, 0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +97,40 @@ def test_generator_output_is_traceless():
     vec_identity = np.eye(4).reshape(-1)
     for spec in ALL_SPECS:
         assert np.linalg.norm(vec_identity @ superoperator_matrix(spec)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [
+        ("probabilities must be nonnegative", lambda: InputEnsemble((math.nan,) * 4, _STATES)),
+        ("rates must be nonnegative", lambda: LindbladSpec(((math.nan, np.eye(4)),))),
+        ("rate must be nonnegative", lambda: catalog_ad_correlated(math.nan)),
+        ("rate must be nonnegative", lambda: catalog_dephasing_correlated(math.nan)),
+        ("time must be nonnegative", lambda: spectral_matrix(_DEPHASING_CAT, math.nan)),
+        ("time must be nonnegative", lambda: evolve_superoperator(ALL_SPECS[0], math.nan, _RHO)),
+        ("rate must be nonnegative", lambda: dephasing_flip_probability(math.nan, 1.0)),
+        ("time must be nonnegative", lambda: dephasing_flip_probability(1.0, math.nan)),
+        ("rate must be nonnegative", lambda: damping_angle(math.nan, 1.0)),
+        ("time must be nonnegative", lambda: damping_angle(1.0, math.nan)),
+    ],
+    ids=[
+        "input_ensemble",
+        "lindblad_spec",
+        "catalog_ad",
+        "catalog_dephasing",
+        "spectral_matrix",
+        "evolve_superoperator",
+        "flip_probability_rate",
+        "flip_probability_time",
+        "damping_angle_rate",
+        "damping_angle_time",
+    ],
+)
+def test_library_gates_refuse_nan(message, call):
+    # every ordered comparison with NaN is False, so a gate written as x < 0
+    # would let each of these through
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_lindblad_spec_validation():
@@ -390,45 +428,37 @@ def test_kraus_equivalence_dephasing_ln2():
     t = math.log(2.0)
     assert abs(dephasing_flip_probability(gamma, t) - 0.25) < 1e-15
     cat = catalog_dephasing_correlated(gamma)
-    residual = kraus_equivalence(
-        cat, t, dephasing_correlated_kraus, lambda tt: dephasing_flip_probability(gamma, tt)
-    )
+    kraus = dephasing_correlated_kraus(dephasing_flip_probability(gamma, t))
+    residual = kraus_equivalence(spectral_matrix(cat, t), kraus)
     assert residual <= 1e-12
 
 
 def test_kraus_equivalence_damping_identity_and_pi_third():
     alpha = 1.0
     cat = catalog_ad_correlated(alpha)
-    angle = lambda tt: damping_angle(alpha, tt)
 
     assert damping_angle(alpha, 0.0) == 0.0
-    assert kraus_equivalence(cat, 0.0, ad_correlated_kraus2, angle) <= 1e-12
+    assert kraus_equivalence(spectral_matrix(cat, 0.0), ad_correlated_kraus2(0.0)) <= 1e-12
 
     t = 2.0 * math.log(2.0)  # cos(chi) = 1/2, i.e. chi = pi/3
     assert abs(damping_angle(alpha, t) - math.pi / 3) < 1e-14
-    assert kraus_equivalence(cat, t, ad_correlated_kraus2, angle) <= 1e-12
+    chi = damping_angle(alpha, t)
+    assert kraus_equivalence(spectral_matrix(cat, t), ad_correlated_kraus2(chi)) <= 1e-12
 
 
 @pytest.mark.parametrize("t", EQUIV_TIMES)
 def test_kraus_equivalence_time_grid(t):
     gamma = alpha = 1.0
-    dephasing_cat = catalog_dephasing_correlated(gamma)
-    damping_cat = catalog_ad_correlated(alpha)
-    assert (
-        kraus_equivalence(
-            dephasing_cat,
-            t,
-            dephasing_correlated_kraus,
-            lambda tt: dephasing_flip_probability(gamma, tt),
-        )
-        <= 1e-10
+    dephasing = kraus_equivalence(
+        spectral_matrix(catalog_dephasing_correlated(gamma), t),
+        dephasing_correlated_kraus(dephasing_flip_probability(gamma, t)),
     )
-    assert (
-        kraus_equivalence(
-            damping_cat, t, ad_correlated_kraus2, lambda tt: damping_angle(alpha, tt)
-        )
-        <= 1e-10
+    damping = kraus_equivalence(
+        spectral_matrix(catalog_ad_correlated(alpha), t),
+        ad_correlated_kraus2(damping_angle(alpha, t)),
     )
+    assert dephasing <= 1e-10
+    assert damping <= 1e-10
 
 
 # ----------------------------------------------------------------------
