@@ -208,28 +208,25 @@ class ClosedFormTerms:
     terms: dict
 
 
-def _xlog2_sum(values) -> float:
-    """sum of x log2(x) over the values, skipping exact zeros."""
-    total = 0.0
-    for x in values:
-        if x > TERM_CLAMP:
-            total += x * math.log2(x)
-    return total
-
-
-def _clamped(name: str, values) -> tuple:
-    out = []
+def _group(name: str, values) -> tuple:
+    """One closed-form eigenvalue group, read in one pass: returns (terms, sum
+    of x log2 x).  A NaN term, or one below -TERM_NEGATIVE_TOL, raises
+    ArithmeticError; a term below TERM_CLAMP reads as 0 and none at or below
+    it enters the entropy sum (0 log 0 = 0); the terms must sum to 1 within
+    SUM_TOL."""
+    terms = []
+    total = xlogx = 0.0
     for v in values:
-        if v < -TERM_NEGATIVE_TOL:
+        if not v >= -TERM_NEGATIVE_TOL:  # a NaN term fails too
             raise ArithmeticError(f"{name} term {v!r} is negative beyond tolerance")
-        out.append(0.0 if v < TERM_CLAMP else float(v))
-    return tuple(out)
-
-
-def _check_sum(name: str, values, want: float = 1.0) -> None:
-    total = sum(values)
-    if abs(total - want) > SUM_TOL:
-        raise ArithmeticError(f"{name} terms sum to {total!r}, expected {want}")
+        v = 0.0 if v < TERM_CLAMP else float(v)
+        if v > TERM_CLAMP:
+            xlogx += v * math.log2(v)
+        terms.append(v)
+        total += v
+    if abs(total - 1.0) > SUM_TOL:
+        raise ArithmeticError(f"{name} terms sum to {total!r}, expected 1.0")
+    return tuple(terms), xlogx
 
 
 def i2_depolarizing_closed(p: float, mu: float, theta: float):
@@ -243,16 +240,15 @@ def i2_depolarizing_closed(p: float, mu: float, theta: float):
     _check_range("mu", mu, 0.0, 1.0)
     _check_range("theta", theta, 0.0, math.pi / 2)
     eta = 1.0 - 4.0 * p / 3.0
-    e12 = 0.25 * (1.0 - eta * eta) * (1.0 - mu)
-    body = (1.0 + mu) + eta * eta * (1.0 - mu)
+    eta2 = eta * eta
+    e12 = 0.25 * (1.0 - eta2) * (1.0 - mu)
+    body = (1.0 + mu) + eta2 * (1.0 - mu)
     root = 2.0 * math.sqrt(
-        eta * eta * math.cos(2.0 * theta) ** 2
-        + (mu + eta * eta * (1.0 - mu)) ** 2 * math.sin(2.0 * theta) ** 2
+        eta2 * math.cos(2.0 * theta) ** 2
+        + (mu + eta2 * (1.0 - mu)) ** 2 * math.sin(2.0 * theta) ** 2
     )
-    es = _clamped("e", (e12, e12, 0.25 * (body + root), 0.25 * (body - root)))
-    _check_sum("e", es)
-    i2 = 2.0 + _xlog2_sum(es)
-    return i2, ClosedFormTerms(terms={"eta": (eta,), "e": es})
+    es, e_xlogx = _group("e", (e12, e12, 0.25 * (body + root), 0.25 * (body - root)))
+    return 2.0 + e_xlogx, ClosedFormTerms(terms={"eta": (eta,), "e": es})
 
 
 def i2_ad_closed(chi: float, mu: float, theta: float):
@@ -267,44 +263,31 @@ def i2_ad_closed(chi: float, mu: float, theta: float):
     _check_range("theta", theta, 0.0, math.pi / 2)
     s2 = math.sin(chi) ** 2
     c2 = math.cos(chi) ** 2
+    c2x = math.cos(2.0 * chi) ** 2
     ct = math.cos(theta) ** 2
     st = math.sin(theta) ** 2
 
     big_theta = 0.5 * (
         (3.0 + mu)
-        + (1.0 - mu)
-        * (math.cos(4.0 * chi) - 32.0 * mu * math.cos(chi) ** 2 * math.sin(chi / 2.0) ** 4)
+        + (1.0 - mu) * (math.cos(4.0 * chi) - 32.0 * mu * c2 * math.sin(chi / 2.0) ** 4)
     )
 
     t1 = 0.25 * (1.0 + s2) * ((1.0 + s2) - mu * s2)
     t2 = 0.25 * (1.0 - s2) * ((1.0 - s2) + mu * s2)
     t34 = 0.25 * (1.0 - (1.0 - mu) * s2 * s2)
-    ts = _clamped("t", (t1, t2, t34, t34))
-    _check_sum("t", ts)
+    ts, t_xlogx = _group("t", (t1, t2, t34, t34))
 
     u12 = (1.0 - mu) * ct * c2 * s2
-    u_root = 0.5 * math.sqrt(
-        ct * ct * math.cos(2.0 * chi) ** 2 + st * st + ct * st * big_theta
-    )
-    us = _clamped("u", (u12, u12, 0.5 - u12 + u_root, 0.5 - u12 - u_root))
-    _check_sum("u", us)
+    u_root = 0.5 * math.sqrt(ct * ct * c2x + st * st + ct * st * big_theta)
+    us, u_xlogx = _group("u", (u12, u12, 0.5 - u12 + u_root, 0.5 - u12 - u_root))
 
     v12 = (1.0 - mu) * st * c2 * s2
-    v_root = 0.5 * math.sqrt(
-        st * st * math.cos(2.0 * chi) ** 2 + ct * ct + ct * st * big_theta
-    )
-    vs = _clamped("v", (v12, v12, 0.5 - v12 + v_root, 0.5 - v12 - v_root))
-    _check_sum("v", vs)
+    v_root = 0.5 * math.sqrt(st * st * c2x + ct * ct + ct * st * big_theta)
+    vs, v_xlogx = _group("v", (v12, v12, 0.5 - v12 + v_root, 0.5 - v12 - v_root))
 
-    ws = _clamped("w", (mu + (1.0 - mu) * c2, (1.0 - mu) * s2))
-    _check_sum("w", ws)
+    ws, w_xlogx = _group("w", (mu + (1.0 - mu) * c2, (1.0 - mu) * s2))
 
-    i2 = (
-        -_xlog2_sum(ts)
-        + 0.25 * _xlog2_sum(us)
-        + 0.25 * _xlog2_sum(vs)
-        + 0.5 * _xlog2_sum(ws)
-    )
+    i2 = -t_xlogx + 0.25 * u_xlogx + 0.25 * v_xlogx + 0.5 * w_xlogx
     terms = ClosedFormTerms(terms={"Theta": (big_theta,), "t": ts, "u": us, "v": vs, "w": ws})
     return i2, terms
 

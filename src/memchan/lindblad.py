@@ -49,8 +49,8 @@ LOWERING.flags.writeable = False
 
 def _check_nonnegative(**values: float) -> None:
     for name, value in values.items():
-        if not value >= 0.0:  # False for NaN as well
-            raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        if not 0.0 <= value < math.inf:  # False for NaN and inf as well
+            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -157,26 +157,27 @@ def _pair(i: int, j: int, sign: int) -> np.ndarray:
     return _INV_SQRT2 * (sign * _unit(i, j) + _unit(j, i))
 
 
-def _catalog_entries(r00, lam00, lam33, lam_0x, lam_rest):
-    """The shared 16-operator layout; only R00 and the eigenvalues differ by family."""
+def _catalog_entries(r00, lam33, lam_0x, lam03, lam13, lam23):
+    """The shared 16-operator layout; only R00 and the eigenvalues differ by
+    family.  R00, R11, R12+- and R22 are stationary in both families."""
     r33 = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex)
     return (
-        CatalogEntry("R00", r00, lam00),
+        CatalogEntry("R00", r00, 0.0),
         CatalogEntry("R33", r33, lam33),
         CatalogEntry("R01+", _pair(0, 1, +1), lam_0x),
         CatalogEntry("R01-", _pair(0, 1, -1), lam_0x),
         CatalogEntry("R02+", _pair(0, 2, +1), lam_0x),
         CatalogEntry("R02-", _pair(0, 2, -1), lam_0x),
-        CatalogEntry("R03+", _pair(0, 3, +1), lam_rest["R03"]),
-        CatalogEntry("R03-", _pair(0, 3, -1), lam_rest["R03"]),
-        CatalogEntry("R11", _unit(1, 1), lam_rest["R11"]),
-        CatalogEntry("R12+", _pair(1, 2, +1), lam_rest["R12"]),
-        CatalogEntry("R12-", _pair(1, 2, -1), lam_rest["R12"]),
-        CatalogEntry("R13+", _pair(1, 3, +1), lam_rest["R13"]),
-        CatalogEntry("R13-", _pair(1, 3, -1), lam_rest["R13"]),
-        CatalogEntry("R22", _unit(2, 2), lam_rest["R22"]),
-        CatalogEntry("R23+", _pair(2, 3, +1), lam_rest["R23"]),
-        CatalogEntry("R23-", _pair(2, 3, -1), lam_rest["R23"]),
+        CatalogEntry("R03+", _pair(0, 3, +1), lam03),
+        CatalogEntry("R03-", _pair(0, 3, -1), lam03),
+        CatalogEntry("R11", _unit(1, 1), 0.0),
+        CatalogEntry("R12+", _pair(1, 2, +1), 0.0),
+        CatalogEntry("R12-", _pair(1, 2, -1), 0.0),
+        CatalogEntry("R13+", _pair(1, 3, +1), lam13),
+        CatalogEntry("R13-", _pair(1, 3, -1), lam13),
+        CatalogEntry("R22", _unit(2, 2), 0.0),
+        CatalogEntry("R23+", _pair(2, 3, +1), lam23),
+        CatalogEntry("R23-", _pair(2, 3, -1), lam23),
     )
 
 
@@ -189,13 +190,7 @@ def catalog_dephasing_correlated(gamma_rate: float) -> EigenoperatorCatalog:
     _check_nonnegative(rate=gamma_rate)
     g = float(gamma_rate)
     r00 = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-    entries = _catalog_entries(
-        r00,
-        lam00=0.0,
-        lam33=0.0,
-        lam_0x=-g,
-        lam_rest={"R03": 0.0, "R11": 0.0, "R12": 0.0, "R13": -g, "R22": 0.0, "R23": -g},
-    )
+    entries = _catalog_entries(r00, lam33=0.0, lam_0x=-g, lam03=0.0, lam13=-g, lam23=-g)
     return EigenoperatorCatalog(entries)
 
 
@@ -209,11 +204,7 @@ def catalog_ad_correlated(alpha_rate: float) -> EigenoperatorCatalog:
     a = float(alpha_rate)
     r00 = _INV_SQRT2 * np.diag([0.0, 0.0, 0.0, 2.0]).astype(complex)
     entries = _catalog_entries(
-        r00,
-        lam00=0.0,
-        lam33=-a,
-        lam_0x=-a / 2.0,
-        lam_rest={"R03": -a / 2.0, "R11": 0.0, "R12": 0.0, "R13": 0.0, "R22": 0.0, "R23": 0.0},
+        r00, lam33=-a, lam_0x=-a / 2.0, lam03=-a / 2.0, lam13=0.0, lam23=0.0
     )
     return EigenoperatorCatalog(entries)
 

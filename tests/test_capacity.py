@@ -517,6 +517,32 @@ def test_closed_form_groups_are_the_output_spectra():
     assert gaps[worst] <= 1e-12, (gaps[worst], points[worst])
 
 
+@pytest.mark.parametrize(
+    "name, values, want",
+    [
+        ("t", (1.0, -2e-12), r"t term -2e-12 is negative beyond tolerance"),
+        ("t", (math.nan, 1.0), r"t term nan is negative beyond tolerance"),
+        ("u", (0.5, 0.25, 0.25, 1e-6), r"u terms sum to 1\.000001, expected 1\.0"),
+        (
+            "w",
+            (1.0, -capacity.TERM_NEGATIVE_TOL, capacity.TERM_CLAMP / 2),
+            ((1.0, 0.0, 0.0), 0.0),
+        ),
+        ("e", (0.5, 0.25, 0.25), ((0.5, 0.25, 0.25), -1.5)),
+    ],
+    ids=["negative", "nan", "sum_off", "reads_zero", "entropy_term"],
+)
+def test_closed_form_group_rule(name, values, want):
+    # a string is the error the group must raise, a tuple its (terms, sum of
+    # x log2 x); a NaN term fails every ordered comparison, so only a gate
+    # written as `not v >= -tol` stops it
+    if isinstance(want, str):
+        with pytest.raises(ArithmeticError, match=want):
+            capacity._group(name, values)
+    else:
+        assert capacity._group(name, values) == want
+
+
 def test_theta_reflection_symmetry():
     for theta in (0.1, 0.5, PI / 4):
         mirrored = PI / 2 - theta

@@ -112,6 +112,18 @@ def test_generator_output_is_traceless():
         ("time must be nonnegative", lambda: dephasing_flip_probability(1.0, math.nan)),
         ("rate must be nonnegative", lambda: damping_angle(math.nan, 1.0)),
         ("time must be nonnegative", lambda: damping_angle(1.0, math.nan)),
+        ("rates must be nonnegative and finite", lambda: LindbladSpec(((math.inf, np.eye(4)),))),
+        ("rate must be nonnegative and finite", lambda: catalog_ad_correlated(math.inf)),
+        ("rate must be nonnegative and finite", lambda: catalog_dephasing_correlated(math.inf)),
+        ("time must be nonnegative and finite", lambda: spectral_matrix(_DEPHASING_CAT, math.inf)),
+        (
+            "time must be nonnegative and finite",
+            lambda: evolve_superoperator(ALL_SPECS[0], math.inf, _RHO),
+        ),
+        ("rate must be nonnegative and finite", lambda: dephasing_flip_probability(math.inf, 1.0)),
+        ("time must be nonnegative and finite", lambda: dephasing_flip_probability(1.0, math.inf)),
+        ("rate must be nonnegative and finite", lambda: damping_angle(math.inf, 1.0)),
+        ("time must be nonnegative and finite", lambda: damping_angle(1.0, math.inf)),
     ],
     ids=[
         "input_ensemble",
@@ -124,11 +136,21 @@ def test_generator_output_is_traceless():
         "flip_probability_time",
         "damping_angle_rate",
         "damping_angle_time",
+        "lindblad_spec_inf",
+        "catalog_ad_inf",
+        "catalog_dephasing_inf",
+        "spectral_matrix_inf",
+        "evolve_superoperator_inf",
+        "flip_probability_rate_inf",
+        "flip_probability_time_inf",
+        "damping_angle_rate_inf",
+        "damping_angle_time_inf",
     ],
 )
 def test_library_gates_refuse_nan(message, call):
     # every ordered comparison with NaN is False, so a gate written as x < 0
-    # would let each of these through
+    # would let each of these through; an infinite rate or time passes such a
+    # gate too, and exp(0 * inf) in a spectral map is NaN
     with pytest.raises(ValueError, match=message):
         call()
 
