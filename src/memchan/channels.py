@@ -107,6 +107,8 @@ class DensityMatrix:
 def pure_state(ket) -> DensityMatrix:
     """Density matrix |k><k| of a (normalized copy of a) state vector."""
     k = np.asarray(ket, dtype=complex).reshape(-1)
+    if not np.isfinite(k).all():  # k / norm would warn first
+        raise ValueError("ket has non-finite entries")
     norm = float(np.linalg.norm(k))
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
@@ -130,12 +132,12 @@ class KrausSet:
     exactly when it is trace preserving: completeness_residual,
     ||sum_k K*K - I||_F, is the whole check.  transfer is the channel's one
     representation, which apply and the Lindblad comparisons read directly.
-    Both are computed once per set.  dim, read from the operators, is 4 for
-    the two-use channels and 2 for the single-qubit damping set they are
-    built from.
+    Both are computed once per set from ops, one read-only (k, dim, dim)
+    complex array; dim is 4 for the two-use channels and 2 for the
+    single-qubit damping set they are built from.
     """
 
-    ops: tuple
+    ops: np.ndarray
 
     def __post_init__(self):
         shapes = sorted({np.shape(op) for op in self.ops})
@@ -145,24 +147,22 @@ class KrausSet:
         if not np.isfinite(stack).all():
             raise ValueError("Kraus operator has non-finite entries")
         stack.flags.writeable = False
-        object.__setattr__(self, "ops", tuple(stack))
+        object.__setattr__(self, "ops", stack)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[-1]
 
     @cached_property
     def completeness_residual(self) -> float:
-        ops = np.array(self.ops)
-        total = np.einsum("kji,kjl->il", ops.conj(), ops)
+        total = np.einsum("kji,kjl->il", self.ops.conj(), self.ops)
         return float(np.linalg.norm(total - np.eye(self.dim)))
 
     @cached_property
     def transfer(self) -> np.ndarray:
         """Matrix T = sum_k kron(K, conj(K)) with T @ vec(rho) = vec(sum_k K rho K*)
         under row-major vectorization (dim^2 x dim^2); read-only."""
-        ops = np.array(self.ops)
-        t = np.einsum("kij,kab->iajb", ops, ops.conj()).reshape(self.dim**2, self.dim**2)
+        t = np.einsum("kij,kab->iajb", self.ops, self.ops.conj()).reshape((self.dim**2,) * 2)
         t.flags.writeable = False
         return t
 
@@ -213,8 +213,8 @@ def amplitude_damping_kraus(chi: float) -> KrausSet:
 
 def ad_uncorrelated_kraus2(chi: float) -> KrausSet:
     """Two independent uses of the damping channel: all tensor pairs of E0, E1."""
-    single = amplitude_damping_kraus(chi).ops
-    return KrausSet(tuple(np.kron(a, b) for a in single for b in single))
+    e = amplitude_damping_kraus(chi).ops
+    return KrausSet(np.einsum("aij,bkl->abikjl", e, e).reshape(4, 4, 4))
 
 
 def ad_correlated_kraus2(chi: float) -> KrausSet:
@@ -232,42 +232,41 @@ def ad_correlated_kraus2(chi: float) -> KrausSet:
 
 
 def _pauli_weights(p: float, errors: tuple) -> tuple:
-    """(Pauli index, probability) pairs of a single-use Pauli channel: the
+    """(Pauli indices, probabilities) of a single-use Pauli channel: the
     identity with 1 - p, and p shared equally by the error Paulis."""
     _check_range("p", p, 0.0, 1.0)
-    return ((0, 1.0 - p),) + tuple((k, p / len(errors)) for k in errors)
+    return (0, *errors), np.array([1.0 - p] + [p / len(errors)] * len(errors))
 
 
-def _pauli_uncorrelated(weights) -> KrausSet:
+def _pauli_uncorrelated(idx: tuple, q: np.ndarray) -> KrausSet:
     """Independent Pauli errors on the two uses: sqrt(q_i q_j) s_i x s_j."""
-    return KrausSet(
-        tuple(math.sqrt(qi * qj) * PAULI_PAIRS[i][j] for i, qi in weights for j, qj in weights)
-    )
+    ops = np.sqrt(np.outer(q, q))[..., None, None] * PAULI_PAIRS[np.ix_(idx, idx)]
+    return KrausSet(ops.reshape(-1, 4, 4))
 
 
-def _pauli_correlated(weights) -> KrausSet:
+def _pauli_correlated(idx: tuple, q: np.ndarray) -> KrausSet:
     """The same Pauli error on both uses: sqrt(q_k) s_k x s_k."""
-    return KrausSet(tuple(math.sqrt(q) * PAULI_PAIRS[k][k] for k, q in weights))
+    return KrausSet(np.sqrt(q)[:, None, None] * PAULI_PAIRS[idx, idx])
 
 
 def dephasing_uncorrelated_kraus(p: float) -> KrausSet:
     """Independent phase flips on each use with probability p (4 operators)."""
-    return _pauli_uncorrelated(_pauli_weights(p, (3,)))
+    return _pauli_uncorrelated(*_pauli_weights(p, (3,)))
 
 
 def dephasing_correlated_kraus(p: float) -> KrausSet:
     """Simultaneous phase flip on both uses with probability p (2 operators)."""
-    return _pauli_correlated(_pauli_weights(p, (3,)))
+    return _pauli_correlated(*_pauli_weights(p, (3,)))
 
 
 def depolarizing_uncorrelated_kraus2(p: float) -> KrausSet:
     """Independent Pauli errors on the two uses (16 operators)."""
-    return _pauli_uncorrelated(_pauli_weights(p, (1, 2, 3)))
+    return _pauli_uncorrelated(*_pauli_weights(p, (1, 2, 3)))
 
 
 def depolarizing_correlated_kraus2(p: float) -> KrausSet:
     """The same Pauli error on both uses (4 operators)."""
-    return _pauli_correlated(_pauli_weights(p, (1, 2, 3)))
+    return _pauli_correlated(*_pauli_weights(p, (1, 2, 3)))
 
 
 def memory_channel(unc: KrausSet, cor: KrausSet, mu: float) -> KrausSet:
@@ -275,8 +274,7 @@ def memory_channel(unc: KrausSet, cor: KrausSet, mu: float) -> KrausSet:
     _check_range("mu", mu, 0.0, 1.0)
     wu = math.sqrt(1.0 - mu)
     wc = math.sqrt(mu)
-    ops = tuple(wu * op for op in unc.ops) + tuple(wc * op for op in cor.ops)
-    return KrausSet(ops)
+    return KrausSet((*(wu * unc.ops), *(wc * cor.ops)))
 
 
 def memory_branches(which: str, param: float) -> tuple:

@@ -18,8 +18,8 @@ SIGMA_X = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Y = _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
 PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-# PAULI_PAIRS[i][j] = kron(PAULIS[i], PAULIS[j]), built once for the two-use channels
-PAULI_PAIRS = tuple(tuple(_readonly(np.kron(a, b)) for b in PAULIS) for a in PAULIS)
+# PAULI_PAIRS[i, j] = kron(PAULIS[i], PAULIS[j]), one (4, 4, 4, 4) array for the two-use channels
+PAULI_PAIRS = _readonly(np.einsum("aij,bkl->abikjl", PAULIS, PAULIS).reshape(4, 4, 4, 4))
 
 
 def hermitian_eigen(a) -> np.ndarray:

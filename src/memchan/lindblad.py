@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .channels import DensityMatrix, KrausSet
-from .linalg import IDENTITY_2, SIGMA_Z
+from .linalg import PAULI_PAIRS
 
 DUALITY_TOL = 1e-10
 
@@ -77,7 +77,7 @@ class LindbladSpec:
 
 def dephasing_correlated_spec(gamma_rate: float) -> LindbladSpec:
     """Two-qubit correlated dephasing with jump Z (x) Z."""
-    return LindbladSpec(terms=((gamma_rate / 2.0, np.kron(SIGMA_Z, SIGMA_Z)),))
+    return LindbladSpec(terms=((gamma_rate / 2.0, PAULI_PAIRS[3, 3]),))
 
 
 def ad_correlated_spec(alpha_rate: float) -> LindbladSpec:
@@ -88,12 +88,7 @@ def ad_correlated_spec(alpha_rate: float) -> LindbladSpec:
 def dephasing_uncorrelated_spec(gamma_rate: float) -> LindbladSpec:
     """Independent dephasing of each qubit: jumps I (x) Z and Z (x) I at Gamma/2."""
     half = gamma_rate / 2.0
-    return LindbladSpec(
-        terms=(
-            (half, np.kron(IDENTITY_2, SIGMA_Z)),
-            (half, np.kron(SIGMA_Z, IDENTITY_2)),
-        ),
-    )
+    return LindbladSpec(terms=((half, PAULI_PAIRS[0, 3]), (half, PAULI_PAIRS[3, 0])))
 
 
 def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:

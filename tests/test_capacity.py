@@ -214,7 +214,7 @@ def test_i2_grid_matches_scalar_reference(family, params):
                 assert abs(grid[i, j, k] - ref) <= 1e-12, (family, mu, param, theta)
 
 
-@pytest.mark.parametrize("mu", [-0.1, 1.0 + 1e-9, math.nan])
+@pytest.mark.parametrize("mu", [-0.1, 1.0 + 1e-9, math.nan, math.inf])
 def test_i2_kernel_rejects_mu_outside_unit_interval(mu):
     kernel = I2Kernel(AMPLITUDE_DAMPING, [0.5], [0.0])
     with pytest.raises(ValueError, match="mu"):
@@ -238,14 +238,15 @@ def test_i2_kernel_rejects_branch_that_is_not_trace_preserving(monkeypatch):
         I2Kernel(AMPLITUDE_DAMPING, [0.9], [0.0])
 
 
-def test_i2_kernel_refuses_a_nan_branch_bound(monkeypatch):
+@pytest.mark.parametrize("bound", [math.nan, math.inf], ids=["nan", "inf"])
+def test_i2_kernel_refuses_a_nan_branch_bound(monkeypatch, bound):
     original = capacity.memory_branch_bound
     monkeypatch.setattr(
         capacity,
         "memory_branch_bound",
-        lambda family, param: (math.nan, original(family, param)[1]),
+        lambda family, param: (bound, original(family, param)[1]),
     )
-    with pytest.raises(ValueError, match="not trace preserving: residual nan"):
+    with pytest.raises(ValueError, match=f"not trace preserving: residual {bound}"):
         I2Kernel(AMPLITUDE_DAMPING, [0.9], [0.0])
 
 
@@ -522,6 +523,8 @@ def test_closed_form_groups_are_the_output_spectra():
     [
         ("t", (1.0, -2e-12), r"t term -2e-12 is negative beyond tolerance"),
         ("t", (math.nan, 1.0), r"t term nan is negative beyond tolerance"),
+        ("t", (math.inf, 1.0), r"t terms sum to inf, expected 1\.0"),
+        ("t", (-math.inf, 1.0), r"t term -inf is negative beyond tolerance"),
         ("u", (0.5, 0.25, 0.25, 1e-6), r"u terms sum to 1\.000001, expected 1\.0"),
         (
             "w",
@@ -530,7 +533,7 @@ def test_closed_form_groups_are_the_output_spectra():
         ),
         ("e", (0.5, 0.25, 0.25), ((0.5, 0.25, 0.25), -1.5)),
     ],
-    ids=["negative", "nan", "sum_off", "reads_zero", "entropy_term"],
+    ids=["negative", "nan", "inf", "neg_inf", "sum_off", "reads_zero", "entropy_term"],
 )
 def test_closed_form_group_rule(name, values, want):
     # a string is the error the group must raise, a tuple its (terms, sum of

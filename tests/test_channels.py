@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from memchan.channels import (
     pure_state,
     random_density_matrix,
 )
-from memchan.linalg import SIGMA_X, SIGMA_Z
+from memchan.linalg import PAULIS, SIGMA_X, SIGMA_Z
 
 GRID_21 = [i / 20 for i in range(21)]
 
@@ -93,9 +94,10 @@ def test_density_spectra_checks_every_matrix_of_a_stack():
             channels.density_spectra(bad)
 
 
-def test_positive_spectra_refuses_a_nan_eigenvalue():
-    with pytest.raises(ValueError, match="positive semidefinite: min eigenvalue nan"):
-        channels.check_positive_spectra(np.array([math.nan, 1.0]))
+@pytest.mark.parametrize("lowest", [math.nan, -math.inf], ids=["nan", "neg_inf"])
+def test_positive_spectra_refuses_a_nan_eigenvalue(lowest):
+    with pytest.raises(ValueError, match=f"positive semidefinite: min eigenvalue {lowest}"):
+        channels.check_positive_spectra(np.array([lowest, 1.0]))
 
 
 def test_density_matrix_rejects_odd_dimensions():
@@ -119,11 +121,15 @@ def test_kraus_set_rejects_non_finite_operators(bad):
         KrausSet((np.eye(4), op))
 
 
-def test_require_trace_preserving_refuses_a_nan_residual():
-    # finite operators whose K*K overflows: inf - inf makes the residual NaN
-    kraus = KrausSet((np.full((2, 2), 1e200 + 1e200j),))
-    assert math.isnan(kraus.completeness_residual)
-    with pytest.raises(ValueError, match="not trace preserving: residual nan"):
+@pytest.mark.parametrize(
+    "entry, residual", [(1e200 + 1e200j, math.nan), (1e200, math.inf)], ids=["nan", "inf"]
+)
+def test_require_trace_preserving_refuses_a_nan_residual(entry, residual):
+    # finite operators whose K*K overflows: inf - inf makes the residual NaN,
+    # and a real entry, with no imaginary part to cancel, makes it inf
+    kraus = KrausSet((np.full((2, 2), entry),))
+    assert np.array_equal(kraus.completeness_residual, residual, equal_nan=True)
+    with pytest.raises(ValueError, match=f"not trace preserving: residual {residual}"):
         kraus.require_trace_preserving()
 
 
@@ -275,6 +281,117 @@ def test_memory_channel_rejects_bad_inputs():
         memory_channel(amplitude_damping_kraus(0.1), ad_correlated_kraus2(0.1), 0.5)
     with pytest.raises(ValueError):
         memory_channel(ad_uncorrelated_kraus2(0.1), ad_correlated_kraus2(0.1), 1.5)
+
+
+# Each set written out operator by operator, as tuples of np.kron products
+# with math.sqrt(q_i * q_j) weights; the stacks the builders make as one array
+# expression must equal these entry for entry.
+def _damping_ops(chi):
+    return (
+        np.array([[math.cos(chi), 0.0], [0.0, 1.0]], dtype=complex),
+        np.array([[0.0, 0.0], [math.sin(chi), 0.0]], dtype=complex),
+    )
+
+
+def _ad_uncorrelated_ops(chi):
+    single = _damping_ops(chi)
+    return tuple(np.kron(a, b) for a in single for b in single)
+
+
+def _ad_correlated_ops(chi):
+    e00 = np.diag([math.cos(chi), 1.0, 1.0, 1.0]).astype(complex)
+    e11 = np.zeros((4, 4), dtype=complex)
+    e11[3, 0] = math.sin(chi)
+    return e00, e11
+
+
+def _pauli_weight_pairs(p, errors):
+    return ((0, 1.0 - p),) + tuple((k, p / len(errors)) for k in errors)
+
+
+def _pauli_uncorrelated_ops(p, errors):
+    weights = _pauli_weight_pairs(p, errors)
+    return tuple(
+        math.sqrt(qi * qj) * np.kron(PAULIS[i], PAULIS[j])
+        for i, qi in weights
+        for j, qj in weights
+    )
+
+
+def _pauli_correlated_ops(p, errors):
+    weights = _pauli_weight_pairs(p, errors)
+    return tuple(math.sqrt(q) * np.kron(PAULIS[k], PAULIS[k]) for k, q in weights)
+
+
+_BRANCH_OPS = {
+    AMPLITUDE_DAMPING: (_ad_uncorrelated_ops, _ad_correlated_ops),
+    DEPHASING: (
+        lambda p: _pauli_uncorrelated_ops(p, (3,)),
+        lambda p: _pauli_correlated_ops(p, (3,)),
+    ),
+    DEPOLARIZING: (
+        lambda p: _pauli_uncorrelated_ops(p, (1, 2, 3)),
+        lambda p: _pauli_correlated_ops(p, (1, 2, 3)),
+    ),
+}
+
+
+def _memory_ops(family, mu, param):
+    unc_ops, cor_ops = _BRANCH_OPS[family]
+    wu, wc = math.sqrt(1.0 - mu), math.sqrt(mu)
+    return tuple(wu * op for op in unc_ops(param)) + tuple(wc * op for op in cor_ops(param))
+
+
+def _memory_build(family, mu, param):
+    return build_memory_channel(ChannelParams.for_family(family, param, mu))
+
+
+_STACK_CASES = {
+    "amplitude_damping": (amplitude_damping_kraus, _damping_ops, math.pi / 2),
+    "ad_uncorrelated": (ad_uncorrelated_kraus2, _ad_uncorrelated_ops, math.pi / 2),
+    "ad_correlated": (ad_correlated_kraus2, _ad_correlated_ops, math.pi / 2),
+    "dephasing_uncorrelated": (dephasing_uncorrelated_kraus, _BRANCH_OPS[DEPHASING][0], 1.0),
+    "dephasing_correlated": (dephasing_correlated_kraus, _BRANCH_OPS[DEPHASING][1], 1.0),
+    "depolarizing_uncorrelated": (
+        depolarizing_uncorrelated_kraus2,
+        _BRANCH_OPS[DEPOLARIZING][0],
+        1.0,
+    ),
+    "depolarizing_correlated": (depolarizing_correlated_kraus2, _BRANCH_OPS[DEPOLARIZING][1], 1.0),
+    **{
+        f"memory-{family}-{mu}": (
+            functools.partial(_memory_build, family, mu),
+            functools.partial(_memory_ops, family, mu),
+            scale_param,
+        )
+        for family, scale_param in (
+            (AMPLITUDE_DAMPING, math.pi / 2),
+            (DEPHASING, 1.0),
+            (DEPOLARIZING, 1.0),
+        )
+        for mu in (0.0, 0.35, 1.0)
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "build, reference, scale_param", list(_STACK_CASES.values()), ids=list(_STACK_CASES)
+)
+def test_operator_stacks_equal_the_per_operator_formula(build, reference, scale_param):
+    # one read-only (k, d, d) array per set, equal to the operators written one
+    # by one and re-stacked; transfer and residual from the same einsums
+    for x in range(101):
+        param = x / 100 * scale_param
+        kraus, ops = build(param), reference(param)
+        stack = np.array(ops)
+        k, d = len(ops), ops[0].shape[0]
+        assert isinstance(kraus.ops, np.ndarray) and kraus.ops.shape == (k, d, d)
+        assert not kraus.ops.flags.writeable
+        assert np.array_equal(kraus.ops, stack), (param, kraus.ops - stack)
+        transfer = np.einsum("kij,kab->iajb", stack, stack.conj()).reshape(d * d, d * d)
+        assert np.array_equal(kraus.transfer, transfer), param
+        residual = np.einsum("kji,kjl->il", stack.conj(), stack) - np.eye(d)
+        assert kraus.completeness_residual == float(np.linalg.norm(residual)), param
 
 
 def test_memory_channel_is_convex_mixture():

@@ -103,6 +103,16 @@ def test_generator_output_is_traceless():
     "message, call",
     [
         ("probabilities must be nonnegative", lambda: InputEnsemble((math.nan,) * 4, _STATES)),
+        (
+            "probabilities sum to inf, expected 1",
+            lambda: InputEnsemble((math.inf, 0.0, 0.0, 0.0), _STATES),
+        ),
+        (
+            "probabilities must be nonnegative",
+            lambda: InputEnsemble((-math.inf, 1.0, 0.0, 0.0), _STATES),
+        ),
+        ("ket has non-finite entries", lambda: pure_state([math.nan, 0, 0, 0])),
+        ("ket has non-finite entries", lambda: pure_state([math.inf, 0, 0, 0])),
         ("rates must be nonnegative", lambda: LindbladSpec(((math.nan, np.eye(4)),))),
         ("rate must be nonnegative", lambda: catalog_ad_correlated(math.nan)),
         ("rate must be nonnegative", lambda: catalog_dephasing_correlated(math.nan)),
@@ -127,6 +137,10 @@ def test_generator_output_is_traceless():
     ],
     ids=[
         "input_ensemble",
+        "input_ensemble_inf",
+        "input_ensemble_neg_inf",
+        "pure_state",
+        "pure_state_inf",
         "lindblad_spec",
         "catalog_ad",
         "catalog_dephasing",
