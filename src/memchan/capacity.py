@@ -72,7 +72,7 @@ def theta_ensemble(theta: float) -> InputEnsemble:
 
     theta = 0 gives the product basis, theta = pi/4 the four Bell states.
     """
-    _check_range("theta", theta, 0.0, math.pi / 2)
+    _check_range("theta", theta)
     c, s = math.cos(theta), math.sin(theta)
     kets = (
         (c, 0.0, 0.0, s),
@@ -181,7 +181,7 @@ class I2Kernel:
 
     def at(self, mu: float) -> np.ndarray:
         """I2[param, theta] at memory degree mu."""
-        _check_range("mu", mu, 0.0, 1.0)
+        _check_range("mu", mu)
         stack = self._stack
         outputs, avg = stack[:4], stack[4]
         np.multiply(self._unc, 1.0 - mu, out=outputs)
@@ -236,9 +236,9 @@ def i2_depolarizing_closed(p: float, mu: float, theta: float):
     average is maximally mixed, so I2 = 2 + sum_i e_i log2 e_i.
     Returns (i2, terms).
     """
-    _check_range("p", p, 0.0, 1.0)
-    _check_range("mu", mu, 0.0, 1.0)
-    _check_range("theta", theta, 0.0, math.pi / 2)
+    _check_range("p", p)
+    _check_range("mu", mu)
+    _check_range("theta", theta)
     eta = 1.0 - 4.0 * p / 3.0
     eta2 = eta * eta
     e12 = 0.25 * (1.0 - eta2) * (1.0 - mu)
@@ -258,9 +258,9 @@ def i2_ad_closed(chi: float, mu: float, theta: float):
     outputs from the |00>/|11> family; w the nontrivial spectrum shared by
     the two outputs from the |01>/|10> family.  Returns (i2, terms).
     """
-    _check_range("chi", chi, 0.0, math.pi / 2)
-    _check_range("mu", mu, 0.0, 1.0)
-    _check_range("theta", theta, 0.0, math.pi / 2)
+    _check_range("chi", chi)
+    _check_range("mu", mu)
+    _check_range("theta", theta)
     s2 = math.sin(chi) ** 2
     c2 = math.cos(chi) ** 2
     c2x = math.cos(2.0 * chi) ** 2

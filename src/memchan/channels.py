@@ -37,7 +37,13 @@ DEPOLARIZING = "depolarizing"
 FAMILIES = (AMPLITUDE_DAMPING, DEPHASING, DEPOLARIZING)
 
 
-def _check_range(name: str, value: float, lo: float, hi: float) -> None:
+# The closed interval of each parameter, read by _check_range and the CLI:
+# memory degree, damping angle, error probability and input ensemble angle
+DOMAINS = dict(mu=(0.0, 1.0), chi=(0.0, math.pi / 2), p=(0.0, 1.0), theta=(0.0, math.pi / 2))
+
+
+def _check_range(name: str, value: float) -> None:
+    lo, hi = DOMAINS[name]
     if not (lo <= value <= hi):
         raise ValueError(f"{name} must lie in [{lo!r}, {hi!r}], got {value!r}")
 
@@ -123,7 +129,7 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """A nonempty list of finite operators K_k, all 2x2 or all 4x4, defining
     the channel rho -> sum_k K rho K*.
@@ -189,9 +195,9 @@ class ChannelParams:
     def __post_init__(self):
         if self.which not in FAMILIES:
             raise ValueError(f"unknown channel family {self.which!r}")
-        _check_range("mu", self.mu, 0.0, 1.0)
-        _check_range("chi", self.chi, 0.0, math.pi / 2)
-        _check_range("p", self.p, 0.0, 1.0)
+        _check_range("mu", self.mu)
+        _check_range("chi", self.chi)
+        _check_range("p", self.p)
 
     @classmethod
     def for_family(cls, which: str, param: float, mu: float = 0.0) -> "ChannelParams":
@@ -205,7 +211,7 @@ class ChannelParams:
 
 def amplitude_damping_kraus(chi: float) -> KrausSet:
     """Single-qubit damping: |0> decays to |1> with amplitude sin(chi)."""
-    _check_range("chi", chi, 0.0, math.pi / 2)
+    _check_range("chi", chi)
     e0 = np.array([[math.cos(chi), 0.0], [0.0, 1.0]], dtype=complex)
     e1 = np.array([[0.0, 0.0], [math.sin(chi), 0.0]], dtype=complex)
     return KrausSet((e0, e1))
@@ -224,7 +230,7 @@ def ad_correlated_kraus2(chi: float) -> KrausSet:
     product of single-qubit operators; everything supported away from |00>
     passes through untouched.
     """
-    _check_range("chi", chi, 0.0, math.pi / 2)
+    _check_range("chi", chi)
     e00 = np.diag([math.cos(chi), 1.0, 1.0, 1.0]).astype(complex)
     e11 = np.zeros((4, 4), dtype=complex)
     e11[3, 0] = math.sin(chi)
@@ -234,7 +240,7 @@ def ad_correlated_kraus2(chi: float) -> KrausSet:
 def _pauli_weights(p: float, errors: tuple) -> tuple:
     """(Pauli indices, probabilities) of a single-use Pauli channel: the
     identity with 1 - p, and p shared equally by the error Paulis."""
-    _check_range("p", p, 0.0, 1.0)
+    _check_range("p", p)
     return (0, *errors), np.array([1.0 - p] + [p / len(errors)] * len(errors))
 
 
@@ -271,7 +277,7 @@ def depolarizing_correlated_kraus2(p: float) -> KrausSet:
 
 def memory_channel(unc: KrausSet, cor: KrausSet, mu: float) -> KrausSet:
     """Partial-memory mixture: uncorrelated branch weighted 1-mu, correlated mu."""
-    _check_range("mu", mu, 0.0, 1.0)
+    _check_range("mu", mu)
     wu = math.sqrt(1.0 - mu)
     wc = math.sqrt(mu)
     return KrausSet((*(wu * unc.ops), *(wc * cor.ops)))

@@ -57,7 +57,7 @@ def _fmt(x: float) -> str:
 
 
 def _param_domain(tag: str) -> tuple:
-    return (0.0, math.pi / 2) if tag == "ad" else (0.0, 1.0)
+    return channels.DOMAINS["chi" if tag == "ad" else "p"]
 
 
 def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> list:
@@ -130,9 +130,9 @@ def sweep_csv(sweep: Sweep, out) -> None:
 
 def cmd_sweep(args) -> int:
     lo, hi = _param_domain(args.channel)
-    mus = parse_range_spec(args.mu_spec, "mu_spec", 0.0, 1.0)
+    mus = parse_range_spec(args.mu_spec, "mu_spec", *channels.DOMAINS["mu"])
     params = parse_range_spec(args.param_spec, "param_spec", lo, hi)
-    thetas = parse_range_spec(args.theta_spec, "theta_spec", 0.0, math.pi / 2)
+    thetas = parse_range_spec(args.theta_spec, "theta_spec", *channels.DOMAINS["theta"])
     # every value is computed before any output opens, so a failure writes nothing
     sweep = compute_sweep(args.channel, mus, params, thetas)
     if args.out is None:
@@ -177,7 +177,7 @@ def check_cptp_constructors() -> CheckSection:
     """
     residuals = []
     for x in (i / 20 for i in range(21)):
-        chi = x * math.pi / 2
+        chi = x * channels.DOMAINS["chi"][1]
         residuals.append(channels.check_cptp(channels.amplitude_damping_kraus(chi)))
         for family, param in (
             (channels.AMPLITUDE_DAMPING, chi),
@@ -256,10 +256,11 @@ def check_uncorrelated_dephasing() -> CheckSection:
 def check_closed_forms() -> CheckSection:
     """Closed-form I2 vs the numeric pipeline on 11 x 11 x 5 grids."""
     mus = [i / 10 for i in range(11)]
-    thetas = [math.pi / 2 * i / 4 for i in range(5)]
+    thetas = [channels.DOMAINS["theta"][1] * i / 4 for i in range(5)]
     residuals = []
-    for tag, lo_hi in (("ad", (0.0, math.pi / 2)), ("dp", (0.0, 1.0))):
-        params = [lo_hi[0] + (lo_hi[1] - lo_hi[0]) * i / 10 for i in range(11)]
+    for tag in ("ad", "dp"):
+        lo, hi = _param_domain(tag)
+        params = [lo + (hi - lo) * i / 10 for i in range(11)]
         sweep = compute_sweep(tag, mus, params, thetas)
         residuals.append(np.abs(sweep.numeric - sweep.closed).max())
     return CheckSection("closed_form_vs_numeric", _worst(residuals), 1e-9)
@@ -321,7 +322,8 @@ def cmd_threshold(args) -> int:
 def cmd_inequality(args) -> int:
     if args.grid_count < 2:
         raise UsageError(f"grid_count must be >= 2, got {args.grid_count}")
-    chis = [math.pi / 2 * i / (args.grid_count - 1) for i in range(args.grid_count)]
+    chi_max = channels.DOMAINS["chi"][1]
+    chis = [chi_max * i / (args.grid_count - 1) for i in range(args.grid_count)]
     rows = capacity.product_memory_inequality(chis)
     lines = ["chi,i2_mu1,i2_mu0,holds"]
     for chi, lhs, rhs, holds in rows:

@@ -11,7 +11,8 @@ and uncorrelated dephasing (jumps I x Z and Z x I).
 Channels are evaluated two ways: through a catalog of sixteen right
 eigenoperators R_i (L R_i = lambda_i R_i) paired with left duals L_i
 (tr(L_i R_j) = delta_ij, plain trace), which the catalog solves for when it
-is built, giving
+is built and holds as three read-only stacks, rights, eigenvalues and lefts,
+in the order of LABELS, giving
 
     pi -> sum_i tr(L_i pi) exp(lambda_i t) R_i,
 
@@ -53,7 +54,7 @@ def _check_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladSpec:
     """Jump-operator form of a two-qubit generator: (rate, jump) pairs, each
     jump a 4x4 operator on the two-use space."""
@@ -112,27 +113,37 @@ def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    label: str
-    right: np.ndarray
-    eigenvalue: float
+# The catalog's layout: R00 (set per family) and R33 are diagonal, Rii is
+# |i><i| and Rij+- is (+-|i><j| + |j><i|) / sqrt(2).  R00, R11, R12+- and R22
+# are stationary in both families.
+LABELS = (
+    "R00", "R33", "R01+", "R01-", "R02+", "R02-", "R03+", "R03-",
+    "R11", "R12+", "R12-", "R13+", "R13-", "R22", "R23+", "R23-",
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenoperatorCatalog:
-    """Sixteen right eigenoperators of a two-qubit generator with their
-    eigenvalues, and the left duals (dual_basis) solved from them when the
-    catalog is built, so replacing its entries solves them again.  Raises
-    ArithmeticError when the duals miss duality by more than DUALITY_TOL."""
+    """Sixteen right eigenoperators of a two-qubit generator, rights (16, 4, 4)
+    in LABELS order, with their eigenvalues (16,), and the left duals lefts
+    (16, 4, 4) (dual_basis) solved from them when the catalog is built, so
+    replacing rights or eigenvalues solves them again.  All three are
+    read-only.  Raises ArithmeticError when the duals miss duality by more
+    than DUALITY_TOL."""
 
-    entries: tuple
-    lefts: tuple = field(init=False)
+    rights: np.ndarray
+    eigenvalues: np.ndarray
+    lefts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if len(self.entries) != 16:
-            raise ValueError(f"catalog needs 16 entries, got {len(self.entries)}")
-        object.__setattr__(self, "lefts", dual_basis(self.entries))
+        rights = np.array(self.rights, dtype=complex)
+        eigenvalues = np.array(self.eigenvalues, dtype=float)
+        if rights.shape != (16, 4, 4) or eigenvalues.shape != (16,):
+            shapes = f"rights {rights.shape}, eigenvalues {eigenvalues.shape}"
+            raise ValueError(f"catalog needs 16 entries, got {len(rights)}: {shapes}")
+        stacks = {"rights": rights, "eigenvalues": eigenvalues, "lefts": dual_basis(rights)}
+        for name, stack in stacks.items():
+            object.__setattr__(self, name, linalg._readonly(stack))
         worst = duality_residual(self)
         if worst > DUALITY_TOL:
             raise ArithmeticError(f"duality residual {worst:.3e} exceeds {DUALITY_TOL:g}")
@@ -141,38 +152,22 @@ class EigenoperatorCatalog:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _unit(i: int, j: int) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
-def _pair(i: int, j: int, sign: int) -> np.ndarray:
-    """(sign |i><j| + |j><i|) / sqrt(2) for i < j."""
-    return _INV_SQRT2 * (sign * _unit(i, j) + _unit(j, i))
-
-
-def _catalog_entries(r00, lam33, lam_0x, lam03, lam13, lam23):
-    """The shared 16-operator layout; only R00 and the eigenvalues differ by
-    family.  R00, R11, R12+- and R22 are stationary in both families."""
-    r33 = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex)
-    return (
-        CatalogEntry("R00", r00, 0.0),
-        CatalogEntry("R33", r33, lam33),
-        CatalogEntry("R01+", _pair(0, 1, +1), lam_0x),
-        CatalogEntry("R01-", _pair(0, 1, -1), lam_0x),
-        CatalogEntry("R02+", _pair(0, 2, +1), lam_0x),
-        CatalogEntry("R02-", _pair(0, 2, -1), lam_0x),
-        CatalogEntry("R03+", _pair(0, 3, +1), lam03),
-        CatalogEntry("R03-", _pair(0, 3, -1), lam03),
-        CatalogEntry("R11", _unit(1, 1), 0.0),
-        CatalogEntry("R12+", _pair(1, 2, +1), 0.0),
-        CatalogEntry("R12-", _pair(1, 2, -1), 0.0),
-        CatalogEntry("R13+", _pair(1, 3, +1), lam13),
-        CatalogEntry("R13-", _pair(1, 3, -1), lam13),
-        CatalogEntry("R22", _unit(2, 2), 0.0),
-        CatalogEntry("R23+", _pair(2, 3, +1), lam23),
-        CatalogEntry("R23-", _pair(2, 3, -1), lam23),
+def _catalog(r00, lam33, lam_0x, lam03, lam13, lam23) -> EigenoperatorCatalog:
+    """The catalog with the shared layout of LABELS; only R00 and the
+    eigenvalues differ by family."""
+    rights = np.zeros((16, 4, 4), dtype=complex)
+    rights[0] = r00
+    rights[1] = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, -1.0])
+    for k, label in enumerate(LABELS[2:], start=2):
+        i, j = int(label[1]), int(label[2])
+        if i == j:
+            rights[k, i, i] = 1.0
+        else:
+            rights[k, i, j] = _INV_SQRT2 if label[3] == "+" else -_INV_SQRT2
+            rights[k, j, i] = _INV_SQRT2
+    return EigenoperatorCatalog(
+        rights,
+        [0.0, lam33] + [lam_0x] * 4 + [lam03] * 2 + [0.0] * 3 + [lam13] * 2 + [0.0] + [lam23] * 2,
     )
 
 
@@ -185,8 +180,7 @@ def catalog_dephasing_correlated(gamma_rate: float) -> EigenoperatorCatalog:
     _check_nonnegative(rate=gamma_rate)
     g = float(gamma_rate)
     r00 = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-    entries = _catalog_entries(r00, lam33=0.0, lam_0x=-g, lam03=0.0, lam13=-g, lam23=-g)
-    return EigenoperatorCatalog(entries)
+    return _catalog(r00, lam33=0.0, lam_0x=-g, lam03=0.0, lam13=-g, lam23=-g)
 
 
 def catalog_ad_correlated(alpha_rate: float) -> EigenoperatorCatalog:
@@ -198,33 +192,29 @@ def catalog_ad_correlated(alpha_rate: float) -> EigenoperatorCatalog:
     _check_nonnegative(rate=alpha_rate)
     a = float(alpha_rate)
     r00 = _INV_SQRT2 * np.diag([0.0, 0.0, 0.0, 2.0]).astype(complex)
-    entries = _catalog_entries(
-        r00, lam33=-a, lam_0x=-a / 2.0, lam03=-a / 2.0, lam13=0.0, lam23=0.0
-    )
-    return EigenoperatorCatalog(entries)
+    return _catalog(r00, lam33=-a, lam_0x=-a / 2.0, lam03=-a / 2.0, lam13=0.0, lam23=0.0)
 
 
-def dual_basis(entries) -> tuple:
-    """The left duals of sixteen catalog entries' 4x4 rights, solving
+def dual_basis(rights: np.ndarray) -> np.ndarray:
+    """The (16, 4, 4) left duals of a (16, 4, 4) stack of rights, solving
     tr(L_i R_j) = delta_ij.
 
     With row-major vectorization tr(L R_j) = vec(R_j^T) . vec(L), so the
     lefts are the columns of the inverse of the matrix whose rows are the
     vectorized transposed rights.
     """
-    gram = np.array([entry.right.T.reshape(-1) for entry in entries])
+    gram = rights.transpose(0, 2, 1).reshape(16, 16)
     try:
         sol = linalg.solve_linear(gram, np.eye(16, dtype=complex))
     except ValueError as exc:
         raise ValueError(f"right eigenoperators do not span the operator space: {exc}")
-    return tuple(sol.T.reshape(16, 4, 4))
+    return sol.T.reshape(16, 4, 4)
 
 
 def duality_residual(cat: EigenoperatorCatalog) -> float:
     """Max |tr(L_i R_j) - delta_ij| over all pairs."""
-    rights = np.array([entry.right for entry in cat.entries])
-    traces = np.einsum("iab,jba->ij", np.array(cat.lefts), rights)
-    return float(np.max(np.abs(traces - np.eye(len(rights)))))
+    traces = np.einsum("iab,jba->ij", cat.lefts, cat.rights)
+    return float(np.max(np.abs(traces - np.eye(16))))
 
 
 def evolve(cat: EigenoperatorCatalog, t: float, pi: DensityMatrix) -> DensityMatrix:
@@ -238,19 +228,18 @@ def spectral_matrix(cat: EigenoperatorCatalog, t: float) -> np.ndarray:
     superoperator_matrix: sum_i exp(lambda_i t) vec(R_i) vec(L_i^T)^T,
     since tr(L_i pi) = vec(L_i^T) . vec(pi)."""
     _check_nonnegative(time=t)
-    return sum(
-        math.exp(entry.eigenvalue * t) * np.outer(entry.right.reshape(-1), left.T.reshape(-1))
-        for entry, left in zip(cat.entries, cat.lefts)
-    )
+    # math.exp rounds better than numpy's vectorized exp, which is 1 ulp off
+    # at some points (rate 2.3, t = 0.5), so the weights are 16 scalar calls
+    w = np.array([math.exp(lam * t) for lam in cat.eigenvalues.tolist()])
+    r, lt = cat.rights.reshape(16, 16), cat.lefts.transpose(0, 2, 1).reshape(16, 16)
+    return (w[:, None, None] * (r[:, :, None] * lt[:, None, :])).sum(axis=0)
 
 
 def verify_eigen(spec: LindbladSpec, cat: EigenoperatorCatalog) -> list:
-    """Per-entry residual ||L(R_i) - lambda_i R_i||_F."""
-    s = superoperator_matrix(spec)
-    return [
-        float(np.linalg.norm(s @ e.right.reshape(-1) - e.eigenvalue * e.right.reshape(-1)))
-        for e in cat.entries
-    ]
+    """Per-entry residual ||L(R_i) - lambda_i R_i||_F, in LABELS order."""
+    vecs = cat.rights.reshape(16, 16)
+    gaps = vecs @ superoperator_matrix(spec).T - cat.eigenvalues[:, None] * vecs
+    return np.linalg.norm(gaps, axis=1).tolist()
 
 
 def dephasing_flip_probability(gamma_rate: float, t: float) -> float:

@@ -430,10 +430,8 @@ def test_verify_detects_wrong_eigenvalue(capsys, monkeypatch):
 
     def broken(alpha):
         cat = original(alpha)
-        entries = tuple(
-            replace(e, eigenvalue=0.0) if e.label == "R33" else e for e in cat.entries
-        )
-        return replace(cat, entries=entries)
+        eigenvalues = np.where(np.array(lindblad.LABELS) == "R33", 0.0, cat.eigenvalues)
+        return replace(cat, eigenvalues=eigenvalues)
 
     monkeypatch.setattr(lindblad, "catalog_ad_correlated", broken)
     code, out, _ = run_cli(capsys, "verify")

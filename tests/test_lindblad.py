@@ -8,6 +8,7 @@ import scipy.linalg
 from memchan import lindblad
 from memchan.capacity import InputEnsemble, theta_ensemble
 from memchan.channels import (
+    KrausSet,
     ad_correlated_kraus2,
     ad_uncorrelated_kraus2,
     apply,
@@ -17,8 +18,8 @@ from memchan.channels import (
     random_density_matrix,
 )
 from memchan.lindblad import (
+    LABELS,
     LOWERING,
-    CatalogEntry,
     EigenoperatorCatalog,
     LindbladSpec,
     ad_correlated_spec,
@@ -36,6 +37,7 @@ from memchan.lindblad import (
     superoperator_matrix,
     verify_eigen,
 )
+from memchan.cli import EQUIVALENCE_TIMES
 from memchan.linalg import IDENTITY_2, SIGMA_X
 
 EQUIV_TIMES = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -227,9 +229,10 @@ def test_superoperator_spectrum_of_correlated_damping():
 def test_superoperator_eigenpairs_match_catalog():
     alpha = 0.8
     s = superoperator_matrix(ad_correlated_spec(alpha))
-    for entry in catalog_ad_correlated(alpha).entries:
-        v = entry.right.reshape(-1)
-        assert np.linalg.norm(s @ v - entry.eigenvalue * v) <= 1e-12
+    cat = catalog_ad_correlated(alpha)
+    for right, eigenvalue in zip(cat.rights, cat.eigenvalues):
+        v = right.reshape(-1)
+        assert np.linalg.norm(s @ v - eigenvalue * v) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -238,31 +241,38 @@ def test_superoperator_eigenpairs_match_catalog():
 
 def test_dephasing_catalog_layout():
     cat = catalog_dephasing_correlated(1.0)
-    assert len(cat.entries) == 16
-    by_label = {e.label: e for e in cat.entries}
-    assert np.allclose(by_label["R00"].right, np.diag([1, 0, 0, 1]) / math.sqrt(2))
-    assert by_label["R00"].eigenvalue == 0.0
-    assert by_label["R01+"].eigenvalue == -1.0
-    assert by_label["R03+"].eigenvalue == 0.0
-    assert by_label["R13-"].eigenvalue == -1.0
-    assert by_label["R12+"].eigenvalue == 0.0
+    assert cat.rights.shape == cat.lefts.shape == (16, 4, 4)
+    assert cat.eigenvalues.shape == (16,)
+    rights, eigenvalues = dict(zip(LABELS, cat.rights)), dict(zip(LABELS, cat.eigenvalues))
+    assert np.allclose(rights["R00"], np.diag([1, 0, 0, 1]) / math.sqrt(2))
+    assert eigenvalues["R00"] == 0.0
+    assert eigenvalues["R01+"] == -1.0
+    assert eigenvalues["R03+"] == 0.0
+    assert eigenvalues["R13-"] == -1.0
+    assert eigenvalues["R12+"] == 0.0
 
 
 def test_ad_catalog_layout():
     cat = catalog_ad_correlated(1.0)
-    by_label = {e.label: e for e in cat.entries}
-    assert np.allclose(by_label["R00"].right, np.diag([0, 0, 0, 2]) / math.sqrt(2))
-    assert by_label["R00"].eigenvalue == 0.0
-    assert by_label["R33"].eigenvalue == -1.0
+    rights, eigenvalues = dict(zip(LABELS, cat.rights)), dict(zip(LABELS, cat.eigenvalues))
+    assert np.allclose(rights["R00"], np.diag([0, 0, 0, 2]) / math.sqrt(2))
+    assert eigenvalues["R00"] == 0.0
+    assert eigenvalues["R33"] == -1.0
     for label in ("R01+", "R01-", "R02+", "R02-", "R03+", "R03-"):
-        assert by_label[label].eigenvalue == -0.5
+        assert eigenvalues[label] == -0.5
     for label in ("R11", "R12+", "R12-", "R13+", "R13-", "R22", "R23+", "R23-"):
-        assert by_label[label].eigenvalue == 0.0
+        assert eigenvalues[label] == 0.0
+    # Rii is |i><i| and Rij+- is (+-|i><j| + |j><i|) / sqrt(2)
+    assert np.array_equal(rights["R22"], np.diag([0, 0, 1, 0]))
+    want = np.zeros((4, 4))
+    want[1, 3], want[3, 1] = -1 / math.sqrt(2), 1 / math.sqrt(2)
+    assert np.array_equal(rights["R13-"], want)
+    assert np.allclose(rights["R33"], np.diag([1, 0, 0, -1]) / math.sqrt(2))
 
 
 def test_catalog_plus_minus_pair_product_is_traceless():
-    by_label = {e.label: e for e in catalog_dephasing_correlated(1.0).entries}
-    prod = by_label["R01+"].right @ by_label["R01-"].right
+    rights = dict(zip(LABELS, catalog_dephasing_correlated(1.0).rights))
+    prod = rights["R01+"] @ rights["R01-"]
     assert abs(np.trace(prod)) <= 1e-15
 
 
@@ -281,15 +291,60 @@ def test_eigen_residuals_damping(rate):
 def test_eigen_residual_detects_wrong_eigenvalue():
     alpha = 1.0
     cat = catalog_ad_correlated(alpha)
-    broken = []
-    for entry in cat.entries:
-        if entry.label == "R33":
-            broken.append(CatalogEntry("R33", entry.right, 0.0))
-        else:
-            broken.append(entry)
-    residuals = verify_eigen(ad_correlated_spec(alpha), replace(cat, entries=tuple(broken)))
+    eigenvalues = np.where(np.array(LABELS) == "R33", 0.0, cat.eigenvalues)
+    residuals = verify_eigen(ad_correlated_spec(alpha), replace(cat, eigenvalues=eigenvalues))
     # ||L(R33) - 0|| = alpha * ||R33||_F = alpha
     assert abs(residuals[1] - alpha) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make_cat, make_spec",
+    [
+        (catalog_dephasing_correlated, dephasing_correlated_spec),
+        (catalog_ad_correlated, ad_correlated_spec),
+    ],
+    ids=["dephasing", "damping"],
+)
+@pytest.mark.parametrize("rate", [0.7, 1.0, 2.3])
+def test_catalog_stack_equals_the_per_entry_formula(make_cat, make_spec, rate):
+    # each stacked form against the per-entry sum or solve it replaced
+    cat, spec = make_cat(rate), make_spec(rate)
+    triples = list(zip(cat.rights, cat.eigenvalues.tolist(), cat.lefts))
+    for t in EQUIVALENCE_TIMES:
+        spectral = sum(
+            math.exp(lam * t) * np.outer(right.reshape(-1), left.T.reshape(-1))
+            for right, lam, left in triples
+        )
+        assert np.array_equal(spectral_matrix(cat, t), spectral)
+    s = superoperator_matrix(spec)
+    residuals = [
+        float(np.linalg.norm(s @ right.reshape(-1) - lam * right.reshape(-1)))
+        for right, lam, _ in triples
+    ]
+    assert np.array_equal(verify_eigen(spec, cat), residuals)
+    gram = np.array([right.T.reshape(-1) for right in cat.rights])
+    lefts = np.linalg.solve(gram, np.eye(16, dtype=complex)).T.reshape(16, 4, 4)
+    assert np.array_equal(cat.lefts, lefts)
+    for stack in (cat.rights, cat.eigenvalues, cat.lefts):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: KrausSet((np.eye(2),)),
+        lambda: dephasing_correlated_spec(1.0),
+        lambda: catalog_ad_correlated(1.0),
+    ],
+    ids=["kraus_set", "lindblad_spec", "catalog"],
+)
+def test_array_records_compare_by_identity(make):
+    # fields holding arrays have no single truth value, so field-wise == raised
+    # ValueError and hash raised TypeError; each record is equal only to itself
+    first, second = make(), make()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
 
 
 # ----------------------------------------------------------------------
@@ -301,9 +356,9 @@ def test_dephasing_lefts_are_adjoint_rights():
     # tr(R R) = +1 for the symmetric/diagonal operators and -1 for the
     # antisymmetric ones, so the duals are the adjoints, not the rights
     cat = catalog_dephasing_correlated(1.0)
-    for entry, left in zip(cat.entries, cat.lefts):
-        assert np.linalg.norm(left - entry.right.conj().T) <= 1e-12
-    minus = {e.label: e.right for e in cat.entries}["R01-"]
+    for right, left in zip(cat.rights, cat.lefts):
+        assert np.linalg.norm(left - right.conj().T) <= 1e-12
+    minus = dict(zip(LABELS, cat.rights))["R01-"]
     assert abs(np.trace(minus @ minus) + 1.0) <= 1e-14
 
 
@@ -320,18 +375,15 @@ def test_duality_residuals():
 
 def test_catalog_solves_its_own_duals():
     cat = catalog_dephasing_correlated(0.7)
-    assert all(
-        np.array_equal(a, b) for a, b in zip(EigenoperatorCatalog(cat.entries).lefts, cat.lefts)
-    )
-    assert len(cat.lefts) == 16
+    assert np.array_equal(EigenoperatorCatalog(cat.rights, cat.eigenvalues).lefts, cat.lefts)
     with pytest.raises(TypeError):
-        EigenoperatorCatalog(cat.entries, cat.lefts)
+        EigenoperatorCatalog(cat.rights, cat.eigenvalues, cat.lefts)
 
 
 def test_catalog_needs_sixteen_entries():
     cat = catalog_ad_correlated(1.0)
     with pytest.raises(ValueError, match="16 entries, got 15"):
-        EigenoperatorCatalog(cat.entries[:15])
+        EigenoperatorCatalog(cat.rights[:15], cat.eigenvalues[:15])
 
 
 def test_catalog_rejects_duals_that_miss_duality(monkeypatch):
@@ -341,16 +393,16 @@ def test_catalog_rejects_duals_that_miss_duality(monkeypatch):
 
 
 def _all_rights_equal(cat):
-    return tuple(CatalogEntry(e.label, cat.entries[0].right, e.eigenvalue) for e in cat.entries)
+    return np.broadcast_to(cat.rights[0], cat.rights.shape)
 
 
 def _second_right_near_first(cat):
     # independent in exact arithmetic, and a plain numpy solve accepts it,
     # but not a basis to working precision
     noise = 1e-14 * np.random.default_rng(5).normal(size=(4, 4))
-    first, second = cat.entries[:2]
-    near = CatalogEntry(second.label, first.right + noise, second.eigenvalue)
-    return (first, near) + cat.entries[2:]
+    rights = cat.rights.copy()
+    rights[1] = rights[0] + noise
+    return rights
 
 
 @pytest.mark.parametrize(
@@ -361,16 +413,13 @@ def _second_right_near_first(cat):
 def test_duality_requires_spanning_rights(degenerate):
     cat = catalog_ad_correlated(1.0)
     with pytest.raises(ValueError, match="span"):
-        EigenoperatorCatalog(degenerate(cat))
+        replace(cat, rights=degenerate(cat))
 
 
 def test_rescaling_rights_rescales_lefts_and_keeps_map():
     rng = np.random.default_rng(3)
     cat = catalog_ad_correlated(1.0)
-    scaled_entries = tuple(
-        CatalogEntry(e.label, 2.5 * e.right, e.eigenvalue) for e in cat.entries
-    )
-    scaled = replace(cat, entries=scaled_entries)  # solves the duals again
+    scaled = replace(cat, rights=2.5 * cat.rights)  # solves the duals again
     for left, orig in zip(scaled.lefts, cat.lefts):
         assert np.linalg.norm(left - orig / 2.5) <= 1e-12
     rho = random_density_matrix(4, rng)
@@ -431,8 +480,8 @@ def test_spectral_matrix_acts_like_evolve():
             rho = random_density_matrix(4, rng)
             # evolve() is a product with m, so the reference is the spectral sum
             direct = sum(
-                np.trace(left @ rho.mat) * math.exp(e.eigenvalue * t) * e.right
-                for e, left in zip(cat.entries, cat.lefts)
+                np.trace(left @ rho.mat) * math.exp(eigenvalue * t) * right
+                for right, eigenvalue, left in zip(cat.rights, cat.eigenvalues, cat.lefts)
             )
             assert np.linalg.norm(m @ rho.mat.reshape(-1) - direct.reshape(-1)) <= 1e-12
             assert np.linalg.norm(evolve(cat, t, rho).mat - direct) <= 1e-12
