@@ -34,12 +34,12 @@ CPTP_APPLY_TOL = 1e-10   # completeness residual allowed when applying a channel
 AMPLITUDE_DAMPING = "amplitude-damping"
 DEPHASING = "dephasing"
 DEPOLARIZING = "depolarizing"
-FAMILIES = (AMPLITUDE_DAMPING, DEPHASING, DEPOLARIZING)
-
 
 # The closed interval of each parameter, read by _check_range and the CLI:
 # memory degree, damping angle, error probability and input ensemble angle
 DOMAINS = dict(mu=(0.0, 1.0), chi=(0.0, math.pi / 2), p=(0.0, 1.0), theta=(0.0, math.pi / 2))
+# Each family's scalar parameter, as its DOMAINS key; the one place it is chosen
+FAMILIES = {AMPLITUDE_DAMPING: "chi", DEPHASING: "p", DEPOLARIZING: "p"}
 
 
 def _check_range(name: str, value: float) -> None:
@@ -201,12 +201,10 @@ class ChannelParams:
 
     @classmethod
     def for_family(cls, which: str, param: float, mu: float = 0.0) -> "ChannelParams":
-        """Bundle a family's scalar parameter (chi or p) with a memory degree."""
-        if which == AMPLITUDE_DAMPING:
-            return cls(which=which, mu=mu, chi=param)
-        if which in (DEPHASING, DEPOLARIZING):
-            return cls(which=which, mu=mu, p=param)
-        raise ValueError(f"unknown channel family {which!r}")
+        """Bundle a family's scalar parameter (FAMILIES[which]) with a memory degree."""
+        if which not in FAMILIES:
+            raise ValueError(f"unknown channel family {which!r}")
+        return cls(which=which, mu=mu, **{FAMILIES[which]: param})
 
 
 def amplitude_damping_kraus(chi: float) -> KrausSet:
@@ -278,14 +276,14 @@ def depolarizing_correlated_kraus2(p: float) -> KrausSet:
 def memory_channel(unc: KrausSet, cor: KrausSet, mu: float) -> KrausSet:
     """Partial-memory mixture: uncorrelated branch weighted 1-mu, correlated mu."""
     _check_range("mu", mu)
-    wu = math.sqrt(1.0 - mu)
-    wc = math.sqrt(mu)
-    return KrausSet((*(wu * unc.ops), *(wc * cor.ops)))
+    if unc.dim != cor.dim:  # np.concatenate would raise its own message
+        raise ValueError(f"Kraus operators must be all 2x2 or all 4x4, got {unc.dim}, {cor.dim}")
+    return KrausSet(np.concatenate((math.sqrt(1.0 - mu) * unc.ops, math.sqrt(mu) * cor.ops)))
 
 
 def memory_branches(which: str, param: float) -> tuple:
     """The (uncorrelated, correlated) two-use Kraus sets of a family at its
-    scalar parameter, chi for amplitude damping and p otherwise."""
+    scalar parameter, the one FAMILIES[which] names."""
     if which == AMPLITUDE_DAMPING:
         return ad_uncorrelated_kraus2(param), ad_correlated_kraus2(param)
     if which == DEPHASING:
@@ -314,7 +312,7 @@ def memory_branch_bound(which: str, param: float) -> tuple:
 
 def build_memory_channel(params: ChannelParams) -> KrausSet:
     """The two-use partial-memory channel selected by a parameter bundle."""
-    param = params.chi if params.which == AMPLITUDE_DAMPING else params.p
+    param = getattr(params, FAMILIES[params.which])
     return memory_channel(*memory_branches(params.which, param), params.mu)
 
 

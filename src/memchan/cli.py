@@ -57,7 +57,7 @@ def _fmt(x: float) -> str:
 
 
 def _param_domain(tag: str) -> tuple:
-    return channels.DOMAINS["chi" if tag == "ad" else "p"]
+    return channels.DOMAINS[channels.FAMILIES[CHANNEL_TAGS[tag]]]
 
 
 def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> list:
@@ -179,11 +179,8 @@ def check_cptp_constructors() -> CheckSection:
     for x in (i / 20 for i in range(21)):
         chi = x * channels.DOMAINS["chi"][1]
         residuals.append(channels.check_cptp(channels.amplitude_damping_kraus(chi)))
-        for family, param in (
-            (channels.AMPLITUDE_DAMPING, chi),
-            (channels.DEPHASING, x),
-            (channels.DEPOLARIZING, x),
-        ):
+        for family, name in channels.FAMILIES.items():
+            param = x * channels.DOMAINS[name][1]
             bound, _ = channels.memory_branch_bound(family, param)
             mixture = channels.build_memory_channel(
                 channels.ChannelParams.for_family(family, param, MIXTURE_CHECK_MU)

@@ -1,9 +1,10 @@
 """Two-qubit Lindblad generators in jump-operator form and their spectral
 channel maps.
 
-A generator is a list of (rate, jump) pairs on the two-use space (dim 4),
+A generator is two read-only stacks on the two-use space (dim 4), rates
+(n,) and jumps (n, 4, 4),
 
-    L(pi) = sum_k rate_k * (J pi J* - (J*J pi + pi J*J) / 2);
+    L(pi) = sum_k rates[k] * (J_k pi J_k* - (J_k*J_k pi + pi J_k*J_k) / 2);
 
 here correlated dephasing (jump Z x Z), correlated damping (sigma x sigma)
 and uncorrelated dephasing (jumps I x Z and Z x I).
@@ -56,40 +57,41 @@ def _check_nonnegative(**values: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LindbladSpec:
-    """Jump-operator form of a two-qubit generator: (rate, jump) pairs, each
-    jump a 4x4 operator on the two-use space."""
+    """Jump-operator form of a two-qubit generator: term k has rate rates[k]
+    and jump jumps[k] on the two-use space.  rates (n,) float and jumps
+    (n, 4, 4) complex are read-only stacks."""
 
-    terms: tuple
+    rates: np.ndarray
+    jumps: np.ndarray
 
     def __post_init__(self):
-        if not self.terms:
+        rates = np.array(self.rates, dtype=float)
+        jumps = np.array(self.jumps, dtype=complex)
+        if rates.size == 0:
             raise ValueError("a LindbladSpec needs at least one (rate, jump) term")
-        frozen = []
-        for rate, jump in self.terms:
-            rate = float(rate)
+        for rate in rates.reshape(-1).tolist():
             _check_nonnegative(rates=rate)
-            m = np.array(jump, dtype=complex)
-            if m.shape != (4, 4):
-                raise ValueError(f"jump operator shape {m.shape} is not (4, 4)")
-            m.flags.writeable = False
-            frozen.append((rate, m))
-        object.__setattr__(self, "terms", tuple(frozen))
+        if jumps.shape[-2:] != (4, 4):
+            raise ValueError(f"jump operator shape {jumps.shape[-2:]} is not (4, 4)")
+        if rates.ndim != 1 or jumps.shape != (rates.size, 4, 4):
+            raise ValueError(f"{rates.shape} rates do not match {jumps.shape} jumps")
+        object.__setattr__(self, "rates", linalg._readonly(rates))
+        object.__setattr__(self, "jumps", linalg._readonly(jumps))
 
 
 def dephasing_correlated_spec(gamma_rate: float) -> LindbladSpec:
     """Two-qubit correlated dephasing with jump Z (x) Z."""
-    return LindbladSpec(terms=((gamma_rate / 2.0, PAULI_PAIRS[3, 3]),))
+    return LindbladSpec([gamma_rate / 2.0], PAULI_PAIRS[[3], [3]])
 
 
 def ad_correlated_spec(alpha_rate: float) -> LindbladSpec:
     """Two-qubit correlated decay with jump sigma (x) sigma (|00> -> |11>)."""
-    return LindbladSpec(terms=((alpha_rate, np.kron(LOWERING, LOWERING)),))
+    return LindbladSpec([alpha_rate], [np.kron(LOWERING, LOWERING)])
 
 
 def dephasing_uncorrelated_spec(gamma_rate: float) -> LindbladSpec:
     """Independent dephasing of each qubit: jumps I (x) Z and Z (x) I at Gamma/2."""
-    half = gamma_rate / 2.0
-    return LindbladSpec(terms=((half, PAULI_PAIRS[0, 3]), (half, PAULI_PAIRS[3, 0])))
+    return LindbladSpec([gamma_rate / 2.0] * 2, PAULI_PAIRS[[0, 3], [3, 0]])
 
 
 def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
@@ -97,20 +99,19 @@ def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
 
     vec(X) = X.reshape(-1) stacks rows, so vec(A X B) = kron(A, B.T) @ vec(X)
     (a plain transpose, not the conjugate); KrausSet.transfer and
-    spectral_matrix use the same convention.  L is trace annihilating,
+    spectral_matrix use the same convention.  Term k is
+    kron(J, conj J) - kron(J*J, I) / 2 - kron(I, (J*J).T) / 2, written as
+    outer products over the whole stack.  L is trace annihilating,
     vec(I)^T S = 0, so tr L(X) = 0 for every X.
     """
-    n = spec.terms[0][1].shape[0]
-    eye = np.eye(n, dtype=complex)
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for rate, jump in spec.terms:
-        jdj = jump.conj().T @ jump
-        s += rate * (
-            np.kron(jump, jump.conj())
-            - 0.5 * np.kron(jdj, eye)
-            - 0.5 * np.kron(eye, jdj.T)
-        )
-    return s
+    jumps, eye = spec.jumps, np.eye(4)
+    jdj = jumps.conj().transpose(0, 2, 1) @ jumps
+    terms = (
+        np.einsum("kij,kab->kiajb", jumps, jumps.conj())
+        - 0.5 * np.einsum("kij,ab->kiajb", jdj, eye)
+        - 0.5 * np.einsum("ij,kba->kiajb", eye, jdj)
+    )
+    return np.einsum("k,kxy->xy", spec.rates, terms.reshape(-1, 16, 16))
 
 
 # The catalog's layout: R00 (set per family) and R33 are diagonal, Rii is
@@ -128,8 +129,8 @@ class EigenoperatorCatalog:
     in LABELS order, with their eigenvalues (16,), and the left duals lefts
     (16, 4, 4) (dual_basis) solved from them when the catalog is built, so
     replacing rights or eigenvalues solves them again.  All three are
-    read-only.  Raises ArithmeticError when the duals miss duality by more
-    than DUALITY_TOL."""
+    read-only.  Raises ValueError on a NaN or inf eigenvalue, before solving,
+    and ArithmeticError when the duals miss duality by more than DUALITY_TOL."""
 
     rights: np.ndarray
     eigenvalues: np.ndarray
@@ -141,6 +142,8 @@ class EigenoperatorCatalog:
         if rights.shape != (16, 4, 4) or eigenvalues.shape != (16,):
             shapes = f"rights {rights.shape}, eigenvalues {eigenvalues.shape}"
             raise ValueError(f"catalog needs 16 entries, got {len(rights)}: {shapes}")
+        if not np.isfinite(eigenvalues).all():  # exp(lambda t) would be NaN or inf
+            raise ValueError(f"catalog eigenvalues must be finite, got {eigenvalues.tolist()}")
         stacks = {"rights": rights, "eigenvalues": eigenvalues, "lefts": dual_basis(rights)}
         for name, stack in stacks.items():
             object.__setattr__(self, name, linalg._readonly(stack))
@@ -288,5 +291,4 @@ def evolve_superoperator(spec: LindbladSpec, t: float, pi: DensityMatrix) -> Den
     """Evolve pi for time t by exponentiating the vectorized generator."""
     _check_nonnegative(time=t)
     prop = _expm(t * superoperator_matrix(spec))
-    n = spec.terms[0][1].shape[0]
-    return DensityMatrix((prop @ pi.mat.reshape(-1)).reshape(n, n))
+    return DensityMatrix((prop @ pi.mat.reshape(-1)).reshape(4, 4))

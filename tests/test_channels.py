@@ -143,6 +143,14 @@ def test_channel_params_validation():
         ChannelParams(which=AMPLITUDE_DAMPING, chi=2.0)
     with pytest.raises(ValueError):
         ChannelParams(which=DEPOLARIZING, p=-0.1)
+    # for_family sets exactly the field channels.FAMILIES names, the other stays 0.0
+    for family, name in channels.FAMILIES.items():
+        params = ChannelParams.for_family(family, 0.625, 0.25)
+        assert (params.which, params.mu) == (family, 0.25)
+        assert {"chi": params.chi, "p": params.p} == {"chi": 0.0, "p": 0.0, name: 0.625}
+    assert channels.FAMILIES == {AMPLITUDE_DAMPING: "chi", DEPHASING: "p", DEPOLARIZING: "p"}
+    with pytest.raises(ValueError, match="unknown channel family 'bogus'"):
+        ChannelParams.for_family("bogus", 0.5)
 
 
 # ----------------------------------------------------------------------

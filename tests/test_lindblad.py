@@ -67,7 +67,7 @@ def test_lowering_operator_convention():
 
 
 def test_generator_zero_rates():
-    spec = LindbladSpec(terms=((0.0, np.kron(SIGMA_X, SIGMA_X)),))
+    spec = LindbladSpec([0.0], [np.kron(SIGMA_X, SIGMA_X)])
     rng = np.random.default_rng(0)
     pi = random_density_matrix(4, rng).mat
     assert np.allclose(_generate(spec, pi), 0.0)
@@ -115,7 +115,7 @@ def test_generator_output_is_traceless():
         ),
         ("ket has non-finite entries", lambda: pure_state([math.nan, 0, 0, 0])),
         ("ket has non-finite entries", lambda: pure_state([math.inf, 0, 0, 0])),
-        ("rates must be nonnegative", lambda: LindbladSpec(((math.nan, np.eye(4)),))),
+        ("rates must be nonnegative", lambda: LindbladSpec([math.nan], [np.eye(4)])),
         ("rate must be nonnegative", lambda: catalog_ad_correlated(math.nan)),
         ("rate must be nonnegative", lambda: catalog_dephasing_correlated(math.nan)),
         ("time must be nonnegative", lambda: spectral_matrix(_DEPHASING_CAT, math.nan)),
@@ -124,7 +124,7 @@ def test_generator_output_is_traceless():
         ("time must be nonnegative", lambda: dephasing_flip_probability(1.0, math.nan)),
         ("rate must be nonnegative", lambda: damping_angle(math.nan, 1.0)),
         ("time must be nonnegative", lambda: damping_angle(1.0, math.nan)),
-        ("rates must be nonnegative and finite", lambda: LindbladSpec(((math.inf, np.eye(4)),))),
+        ("rates must be nonnegative and finite", lambda: LindbladSpec([math.inf], [np.eye(4)])),
         ("rate must be nonnegative and finite", lambda: catalog_ad_correlated(math.inf)),
         ("rate must be nonnegative and finite", lambda: catalog_dephasing_correlated(math.inf)),
         ("time must be nonnegative and finite", lambda: spectral_matrix(_DEPHASING_CAT, math.inf)),
@@ -172,12 +172,14 @@ def test_library_gates_refuse_nan(message, call):
 
 
 def test_lindblad_spec_validation():
+    with pytest.raises(ValueError, match="a LindbladSpec needs at least one"):
+        LindbladSpec([], np.zeros((0, 4, 4)))
     with pytest.raises(ValueError):
-        LindbladSpec(terms=())
-    with pytest.raises(ValueError):
-        LindbladSpec(terms=((-1.0, np.kron(SIGMA_X, SIGMA_X)),))
+        LindbladSpec([-1.0], [np.kron(SIGMA_X, SIGMA_X)])
     with pytest.raises(ValueError, match=r"jump operator shape \(2, 2\) is not \(4, 4\)"):
-        LindbladSpec(terms=((1.0, SIGMA_X),))
+        LindbladSpec([1.0], [SIGMA_X])
+    with pytest.raises(ValueError, match=r"\(2,\) rates do not match \(1, 4, 4\) jumps"):
+        LindbladSpec([1.0, 1.0], [np.eye(4)])
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +187,7 @@ def test_lindblad_spec_validation():
 # ----------------------------------------------------------------------
 
 def test_superoperator_zero_rates():
-    spec = LindbladSpec(terms=((0.0, np.kron(SIGMA_X, SIGMA_X)),))
+    spec = LindbladSpec([0.0], [np.kron(SIGMA_X, SIGMA_X)])
     assert np.allclose(superoperator_matrix(spec), 0.0)
 
 
@@ -201,7 +203,7 @@ def test_superoperator_correlated_dephasing_diagonal():
 def _jump_sum(spec, pi):
     """L(pi) straight from the jump-operator formula, independent of S."""
     out = np.zeros_like(pi)
-    for rate, jump in spec.terms:
+    for rate, jump in zip(spec.rates, spec.jumps):
         jdj = jump.conj().T @ jump
         out += rate * (jump @ pi @ jump.conj().T - 0.5 * (jdj @ pi + pi @ jdj))
     return out
@@ -215,6 +217,39 @@ def test_superoperator_matches_generator_on_random_states():
             pi = random_density_matrix(4, rng).mat
             want = _jump_sum(spec, pi)
             assert np.linalg.norm(s @ pi.reshape(-1) - want.reshape(-1)) <= 1e-12
+
+
+def _per_term_superoperator(spec):
+    """S written out term by term with np.kron, as a loop over (rate, jump)."""
+    eye = np.eye(4, dtype=complex)
+    s = np.zeros((16, 16), dtype=complex)
+    for rate, jump in zip(spec.rates.tolist(), spec.jumps):
+        jdj = jump.conj().T @ jump
+        s += rate * (
+            np.kron(jump, jump.conj()) - 0.5 * np.kron(jdj, eye) - 0.5 * np.kron(eye, jdj.T)
+        )
+    return s
+
+
+def test_superoperator_stack_equals_the_per_term_formula():
+    for builder in (dephasing_correlated_spec, ad_correlated_spec, dephasing_uncorrelated_spec):
+        for rate in (0.0, 1e-8, 0.1, 0.3, 0.7, 1.0, 1.7, 2.3, 5.0, 10.0):
+            spec = builder(rate)
+            assert np.array_equal(superoperator_matrix(spec), _per_term_superoperator(spec))
+    # J*J of random jumps is not symmetric, unlike that of the builders' jumps;
+    # einsum's complex products may round 1 ulp away from np.kron's
+    jumps = np.random.default_rng(11).normal(size=(2, 4, 4, 2)) @ [1.0, 1j]
+    spec = LindbladSpec([0.7, 1.9], jumps)
+    want = _per_term_superoperator(spec)
+    assert np.linalg.norm(superoperator_matrix(spec) - want) <= 1e-15 * np.linalg.norm(want)
+    for stack in (spec.rates, spec.jumps):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 0.0
+    # every rate is gated, not only the first or the last one
+    for bad in (-1.0, math.nan, math.inf):
+        for rates in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(ValueError, match="rates must be nonnegative and finite, got"):
+                LindbladSpec(rates, jumps)
 
 
 def test_superoperator_spectrum_of_correlated_damping():
@@ -384,6 +419,22 @@ def test_catalog_needs_sixteen_entries():
     cat = catalog_ad_correlated(1.0)
     with pytest.raises(ValueError, match="16 entries, got 15"):
         EigenoperatorCatalog(cat.rights[:15], cat.eigenvalues[:15])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg_inf"])
+def test_catalog_refuses_non_finite_eigenvalues(monkeypatch, bad):
+    # exp(lambda t) of such an eigenvalue makes the whole spectral matrix NaN;
+    # the catalog refuses it before it solves any duals
+    cat = catalog_ad_correlated(1.0)
+    eigenvalues = cat.eigenvalues.copy()
+    eigenvalues[5] = bad
+    monkeypatch.setattr(lindblad, "dual_basis", lambda rights: pytest.fail("duals solved"))
+    for build in (
+        lambda: EigenoperatorCatalog(cat.rights, eigenvalues),
+        lambda: replace(cat, eigenvalues=eigenvalues),
+    ):
+        with pytest.raises(ValueError, match="catalog eigenvalues must be finite, got"):
+            build()
 
 
 def test_catalog_rejects_duals_that_miss_duality(monkeypatch):
@@ -601,9 +652,8 @@ def test_uncorrelated_dephasing_time_grid(t):
 @pytest.mark.parametrize("alpha", [1.0, 0.7])
 def test_uncorrelated_damping_generator_matches_kraus(alpha):
     # independent decay of each qubit: jumps sigma (x) I and I (x) sigma
-    spec = LindbladSpec(
-        terms=((alpha, np.kron(LOWERING, IDENTITY_2)), (alpha, np.kron(IDENTITY_2, LOWERING))),
-    )
+    jumps = [np.kron(LOWERING, IDENTITY_2), np.kron(IDENTITY_2, LOWERING)]
+    spec = LindbladSpec([alpha] * 2, jumps)
     s = superoperator_matrix(spec)
     for t in EQUIV_TIMES:
         kraus = ad_uncorrelated_kraus2(damping_angle(alpha, t))
