@@ -185,7 +185,7 @@ def check_cptp(kraus: KrausSet) -> float:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Validated parameter bundle for one channel family."""
+    """Validated parameter bundle for one channel family; its unused field must stay 0.0."""
 
     which: str
     mu: float = 0.0
@@ -196,8 +196,11 @@ class ChannelParams:
         if self.which not in FAMILIES:
             raise ValueError(f"unknown channel family {self.which!r}")
         _check_range("mu", self.mu)
-        _check_range("chi", self.chi)
-        _check_range("p", self.p)
+        for name in ("chi", "p"):
+            value = getattr(self, name)
+            _check_range(name, value)
+            if value != 0.0 and name != FAMILIES[self.which]:
+                raise ValueError(f"family {self.which!r} takes no {name}, got {value!r}")
 
     @classmethod
     def for_family(cls, which: str, param: float, mu: float = 0.0) -> "ChannelParams":

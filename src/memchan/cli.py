@@ -46,6 +46,10 @@ CHANNEL_TAGS = {
 EQUIVALENCE_TIMES = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
 MIXTURE_CHECK_MU = 0.35  # interior memory degree of verify's one mixture per point
 SWEEP_HEADER = "channel,mu,param,theta,i2_numeric,i2_closed,delta"
+# Most grid points per command (a sweep's mu x param x theta, grid_count): per point
+# the I2 kernel keeps at most 2x16x16 branch transfer, 2x4x16 branch output and 5x16
+# slice buffer entries, all complex (16 bytes), so 256 MiB holds 23301 points.
+MAX_GRID_POINTS = 2**28 // ((2 * 16 * 16 + 2 * 4 * 16 + 5 * 16) * 16)
 
 
 class UsageError(ValueError):
@@ -71,8 +75,8 @@ def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> 
         raise UsageError(f"{name}: could not parse {text!r} as lo:hi:count")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"{name}: lo and hi must be finite, got {text!r}")
-    if count < 1:
-        raise UsageError(f"{name}: count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise UsageError(f"{name}: count must lie in [1, {MAX_GRID_POINTS}], got {count}")
     if lo > hi:
         raise UsageError(f"{name}: lo {lo!r} exceeds hi {hi!r}")
     if lo < lo_bound - 1e-12 or hi > hi_bound + 1e-12:
@@ -133,6 +137,8 @@ def cmd_sweep(args) -> int:
     mus = parse_range_spec(args.mu_spec, "mu_spec", *channels.DOMAINS["mu"])
     params = parse_range_spec(args.param_spec, "param_spec", lo, hi)
     thetas = parse_range_spec(args.theta_spec, "theta_spec", *channels.DOMAINS["theta"])
+    if (points := len(mus) * len(params) * len(thetas)) > MAX_GRID_POINTS:
+        raise UsageError(f"grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")
     # every value is computed before any output opens, so a failure writes nothing
     sweep = compute_sweep(args.channel, mus, params, thetas)
     if args.out is None:
@@ -237,12 +243,12 @@ def check_kraus_lindblad() -> CheckSection:
 
 
 def check_uncorrelated_dephasing() -> CheckSection:
-    """||expm(t S) - K.transfer||_F for the two-jump generator S and the
-    uncorrelated dephasing Kraus set K."""
-    s = lindblad.superoperator_matrix(lindblad.dephasing_uncorrelated_spec(1.0))
+    """Exact transfer-matrix gap between the exponentiated two-jump generator
+    (lindblad.exponential_matrix) and the uncorrelated dephasing Kraus set."""
+    spec = lindblad.dephasing_uncorrelated_spec(1.0)
     residuals = [
         lindblad.kraus_equivalence(
-            lindblad._expm(t * s),
+            lindblad.exponential_matrix(spec, t),
             channels.dephasing_uncorrelated_kraus(lindblad.dephasing_flip_probability(1.0, t)),
         )
         for t in EQUIVALENCE_TIMES
@@ -317,8 +323,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_inequality(args) -> int:
-    if args.grid_count < 2:
-        raise UsageError(f"grid_count must be >= 2, got {args.grid_count}")
+    if not 2 <= args.grid_count <= MAX_GRID_POINTS:
+        raise UsageError(f"grid_count must lie in [2, {MAX_GRID_POINTS}], got {args.grid_count}")
     chi_max = channels.DOMAINS["chi"][1]
     chis = [chi_max * i / (args.grid_count - 1) for i in range(args.grid_count)]
     rows = capacity.product_memory_inequality(chis)

@@ -23,12 +23,12 @@ p = (1 - exp(-Gamma t)) / 2, and the correlated damping map to the damping
 Kraus pair with cos(chi) = exp(-alpha t / 2).
 
 Every map is a row-major transfer matrix, the representation channels.apply
-uses for Kraus sets (KrausSet.transfer): L(pi) is
-superoperator_matrix(spec) @ vec(pi), evolve is
-spectral_matrix(cat, t) @ vec(pi), and evolve_superoperator is
-expm(t S) @ vec(pi).  kraus_equivalence(transfer, kraus) is the one
-Kraus/Lindblad gap, ||transfer - kraus.transfer||_F, for either Lindblad
-matrix; it is exact and holds for every input state, not a random sample.
+uses for Kraus sets (KrausSet.transfer): L(pi) is superoperator_matrix(spec)
+@ vec(pi), evolve is spectral_matrix(cat, t) @ vec(pi), and
+evolve_superoperator is exponential_matrix(spec, t) @ vec(pi).
+kraus_equivalence(transfer, kraus) is the one Kraus/Lindblad gap,
+||transfer - kraus.transfer||_F, for either Lindblad matrix; it is exact and
+holds for every input state, not a random sample.
 """
 
 from __future__ import annotations
@@ -238,6 +238,24 @@ def spectral_matrix(cat: EigenoperatorCatalog, t: float) -> np.ndarray:
     return (w[:, None, None] * (r[:, :, None] * lt[:, None, :])).sum(axis=0)
 
 
+def exponential_matrix(spec: LindbladSpec, t: float) -> np.ndarray:
+    """exp(t S) for the generator matrix S, spectral_matrix's twin: V exp(t
+    Lambda) V^-1 from S V = V Lambda, exactly the exponential of S + dS with
+    dS = V Lambda V^-1 - S.  A defective S fails closed: solve_linear refuses
+    a singular V (ValueError), and ||dS||_F > DUALITY_TOL ||S||_F raises ArithmeticError."""
+    _check_nonnegative(time=t)
+    s = superoperator_matrix(spec)
+    if np.array_equal(s, np.diag(np.diag(s))):  # eig's own answer, without paging in its
+        lam, v = np.diag(s), np.eye(16, dtype=complex)  # ~0.3 MB of LAPACK code
+    else:
+        lam, v = np.linalg.eig(s)
+    v_inv = linalg.solve_linear(v, np.eye(16))
+    gap = float(np.linalg.norm(v * lam @ v_inv - s))
+    if not gap <= DUALITY_TOL * float(np.linalg.norm(s)):
+        raise ArithmeticError(f"eigendecomposition misses the generator by {gap:.3e}")
+    return v * np.exp(t * lam) @ v_inv
+
+
 def verify_eigen(spec: LindbladSpec, cat: EigenoperatorCatalog) -> list:
     """Per-entry residual ||L(R_i) - lambda_i R_i||_F, in LABELS order."""
     vecs = cat.rights.reshape(16, 16)
@@ -259,7 +277,7 @@ def damping_angle(alpha_rate: float, t: float) -> float:
 
 def kraus_equivalence(transfer: np.ndarray, kraus: KrausSet) -> float:
     """Exact gap ||transfer - kraus.transfer||_F between a Lindblad map's
-    transfer matrix (spectral_matrix(cat, t) or expm(t S)) and a Kraus set.
+    transfer matrix (spectral_matrix or exponential_matrix) and a Kraus set.
 
     The Frobenius norm of the transfer-matrix difference bounds the output
     gap ||Phi_1(rho) - Phi_2(rho)||_F for every input with ||rho||_F <= 1,
@@ -268,27 +286,6 @@ def kraus_equivalence(transfer: np.ndarray, kraus: KrausSet) -> float:
     return float(np.linalg.norm(transfer - kraus.transfer))
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated Taylor series."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a, np.inf))
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
-    b = a / (2.0**squarings)
-    term = np.eye(n, dtype=complex)
-    result = np.eye(n, dtype=complex)
-    for k in range(1, 40):
-        term = term @ b / k
-        result = result + term
-        if float(np.linalg.norm(term)) <= 1e-18 * float(np.linalg.norm(result)):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def evolve_superoperator(spec: LindbladSpec, t: float, pi: DensityMatrix) -> DensityMatrix:
-    """Evolve pi for time t by exponentiating the vectorized generator."""
-    _check_nonnegative(time=t)
-    prop = _expm(t * superoperator_matrix(spec))
-    return DensityMatrix((prop @ pi.mat.reshape(-1)).reshape(4, 4))
+    """Exponentiated generator map exponential_matrix(spec, t) @ vec(pi)."""
+    return DensityMatrix((exponential_matrix(spec, t) @ pi.mat.reshape(-1)).reshape(4, 4))

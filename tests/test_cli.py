@@ -60,6 +60,54 @@ def test_parse_range_spec_error_prints_values_in_full():
     assert "[0.0, 0.78539817] lies outside [0.0, 0.7853981633974483]" in str(excinfo.value)
 
 
+def test_parse_range_spec_count_limit():
+    n = cli.MAX_GRID_POINTS
+    assert 21 * 21 * 5 <= n and 257 <= n  # the benchmark's sweeps and CI's inequality 257
+    assert len(parse_range_spec(f"0:1:{n}", "x", 0.0, 1.0)) == n
+    with pytest.raises(UsageError, match=rf"x: count must lie in \[1, {n}\], got {n + 1}"):
+        parse_range_spec(f"0:1:{n + 1}", "x", 0.0, 1.0)
+
+
+def _refuse_the_kernel(*args):
+    raise AssertionError("an over-limit grid reached the I2 kernel")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("inequality", "100000000"),
+        ("sweep", "ad", "0:1:3000", "0:1:3000", "0:0:1"),
+        ("sweep", "dephasing", "0:1:28", "0:1:863", "0:0:1"),
+        ("sweep", "dp", "0:1:1", "0:1:1", "0:0:1000000000"),
+    ],
+    ids=["inequality", "sweep_product", "sweep_one_past", "sweep_axis"],
+)
+def test_over_limit_grid_is_usage_error(capsys, monkeypatch, argv):
+    # the limit is checked from the counts, so the kernel is never built:
+    # running these for real would allocate gigabytes or run for minutes
+    for name in ("i2_grid", "product_memory_inequality"):
+        monkeypatch.setattr(capacity, name, _refuse_the_kernel)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert str(cli.MAX_GRID_POINTS) in err
+
+
+def test_sweep_grid_at_the_limit_is_accepted(monkeypatch):
+    n = cli.MAX_GRID_POINTS
+    assert 27 * 863 == n  # one mu count more (28 x 863) is refused above
+
+    class Reached(Exception):
+        pass
+
+    def reached(tag, mus, params, thetas):
+        raise Reached(len(mus) * len(params) * len(thetas))
+
+    monkeypatch.setattr(cli, "compute_sweep", reached)
+    with pytest.raises(Reached, match=f"^{n}$"):
+        cli.main(["sweep", "dephasing", "0:1:27", "0:1:863", "0:0:1"])
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -514,7 +562,7 @@ def _nan_after_first_call(original):
             lambda original: lambda spec, cat: original(spec, cat) + [math.nan],
         ),
         (cli.check_kraus_lindblad, lindblad, "kraus_equivalence", _nan_after_first_call),
-        (cli.check_uncorrelated_dephasing, lindblad, "_expm", _nan_after_first_call),
+        (cli.check_uncorrelated_dephasing, lindblad, "exponential_matrix", _nan_after_first_call),
         (
             cli.check_closed_forms,
             capacity,

@@ -32,6 +32,7 @@ from memchan.lindblad import (
     duality_residual,
     evolve,
     evolve_superoperator,
+    exponential_matrix,
     kraus_equivalence,
     spectral_matrix,
     superoperator_matrix,
@@ -120,6 +121,7 @@ def test_generator_output_is_traceless():
         ("rate must be nonnegative", lambda: catalog_dephasing_correlated(math.nan)),
         ("time must be nonnegative", lambda: spectral_matrix(_DEPHASING_CAT, math.nan)),
         ("time must be nonnegative", lambda: evolve_superoperator(ALL_SPECS[0], math.nan, _RHO)),
+        ("time must be nonnegative", lambda: exponential_matrix(ALL_SPECS[0], math.nan)),
         ("rate must be nonnegative", lambda: dephasing_flip_probability(math.nan, 1.0)),
         ("time must be nonnegative", lambda: dephasing_flip_probability(1.0, math.nan)),
         ("rate must be nonnegative", lambda: damping_angle(math.nan, 1.0)),
@@ -131,6 +133,10 @@ def test_generator_output_is_traceless():
         (
             "time must be nonnegative and finite",
             lambda: evolve_superoperator(ALL_SPECS[0], math.inf, _RHO),
+        ),
+        (
+            "time must be nonnegative and finite",
+            lambda: exponential_matrix(ALL_SPECS[0], math.inf),
         ),
         ("rate must be nonnegative and finite", lambda: dephasing_flip_probability(math.inf, 1.0)),
         ("time must be nonnegative and finite", lambda: dephasing_flip_probability(1.0, math.inf)),
@@ -148,6 +154,7 @@ def test_generator_output_is_traceless():
         "catalog_dephasing",
         "spectral_matrix",
         "evolve_superoperator",
+        "exponential_matrix",
         "flip_probability_rate",
         "flip_probability_time",
         "damping_angle_rate",
@@ -157,6 +164,7 @@ def test_generator_output_is_traceless():
         "catalog_dephasing_inf",
         "spectral_matrix_inf",
         "evolve_superoperator_inf",
+        "exponential_matrix_inf",
         "flip_probability_rate_inf",
         "flip_probability_time_inf",
         "damping_angle_rate_inf",
@@ -543,9 +551,8 @@ def test_spectral_matrix_matches_exponentiated_generator():
         (dephasing_correlated_spec(0.8), catalog_dephasing_correlated(0.8)),
         (ad_correlated_spec(1.2), catalog_ad_correlated(1.2)),
     ):
-        s = superoperator_matrix(spec)
         for t in EQUIV_TIMES:
-            assert np.linalg.norm(spectral_matrix(cat, t) - lindblad._expm(t * s)) <= 1e-12
+            assert np.linalg.norm(spectral_matrix(cat, t) - exponential_matrix(spec, t)) <= 1e-12
 
 
 def test_spectral_matrix_requires_nonnegative_time():
@@ -601,16 +608,58 @@ def test_kraus_equivalence_time_grid(t):
 # uncorrelated dephasing generator and the exponential route
 # ----------------------------------------------------------------------
 
-def test_expm_matches_scipy():
+def _uncorrelated_damping_spec(alpha):
+    """Independent decay of each qubit: jumps sigma (x) I and I (x) sigma."""
+    jumps = [np.kron(LOWERING, IDENTITY_2), np.kron(IDENTITY_2, LOWERING)]
+    return LindbladSpec([alpha] * 2, jumps)
+
+
+def _ladder_spec(second_rate):
+    """Jumps |01><00| at rate 1 and |10><01| at second_rate; at equal rates
+    the generator matrix is defective (a Jordan block at eigenvalue -1)."""
+    up, step = np.zeros((2, 4, 4), dtype=complex)
+    up[1, 0] = step[2, 1] = 1.0
+    return LindbladSpec([1.0, second_rate], [up, step])
+
+
+def test_exponential_matrix_matches_scipy():
     rng = np.random.default_rng(7)
-    for spec in ALL_SPECS:
+    jump = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))  # complex, non-normal
+    specs = ALL_SPECS + (_uncorrelated_damping_spec(1.0), LindbladSpec([0.7], [jump]))
+    for spec in specs:
         s = superoperator_matrix(spec)
-        for t in (0.1, 1.0, 5.0):
-            got = lindblad._expm(t * s)
+        for t in (0.0, 0.1, 1.0, 5.0):
             want = scipy.linalg.expm(t * s)
-            assert np.linalg.norm(got - want) <= 1e-12
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    assert np.linalg.norm(lindblad._expm(m) - scipy.linalg.expm(m)) <= 1e-10
+            assert np.linalg.norm(exponential_matrix(spec, t) - want) <= 1e-12
+
+
+def test_exponential_matrix_of_a_diagonal_generator_is_eigs_own(monkeypatch):
+    # both dephasing generators are diagonal, and eig returns exactly V = I and
+    # Lambda = diag(S) for them; the map skips eig and is the same to the bit
+    specs = (dephasing_correlated_spec(0.9), dephasing_uncorrelated_spec(0.6))
+    for spec in specs:
+        s = superoperator_matrix(spec)
+        lam, v = np.linalg.eig(s)
+        assert np.array_equal(lam, np.diag(s)) and np.array_equal(v, np.eye(16))
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("eig called"))
+    for spec in specs:
+        s = superoperator_matrix(spec)
+        for t in EQUIV_TIMES:
+            assert np.array_equal(exponential_matrix(spec, t), np.diag(np.exp(t * np.diag(s))))
+
+
+def test_exponential_matrix_refuses_a_defective_generator():
+    # exactly defective: the eigenvectors do not span, so V is singular
+    with pytest.raises(ValueError, match="singular"):
+        exponential_matrix(_ladder_spec(1.0), 1.0)
+    # nearly defective: V is invertible, but V Lambda V^-1 misses S by ~1e-7
+    with pytest.raises(ArithmeticError, match="misses the generator"):
+        exponential_matrix(_ladder_spec(1.0 + 1e-9), 1.0)
+    # mildly non-normal: the decomposition holds, and the map is accurate
+    spec = _ladder_spec(1.0 + 1e-3)
+    for t in (0.1, 1.0, 5.0):
+        want = scipy.linalg.expm(t * superoperator_matrix(spec))
+        assert np.linalg.norm(exponential_matrix(spec, t) - want) <= 1e-12
 
 
 def test_uncorrelated_dephasing_t_zero_is_identity():
@@ -651,10 +700,7 @@ def test_uncorrelated_dephasing_time_grid(t):
 
 @pytest.mark.parametrize("alpha", [1.0, 0.7])
 def test_uncorrelated_damping_generator_matches_kraus(alpha):
-    # independent decay of each qubit: jumps sigma (x) I and I (x) sigma
-    jumps = [np.kron(LOWERING, IDENTITY_2), np.kron(IDENTITY_2, LOWERING)]
-    spec = LindbladSpec([alpha] * 2, jumps)
-    s = superoperator_matrix(spec)
+    spec = _uncorrelated_damping_spec(alpha)
     for t in EQUIV_TIMES:
         kraus = ad_uncorrelated_kraus2(damping_angle(alpha, t))
-        assert np.linalg.norm(lindblad._expm(t * s) - kraus.transfer) <= 1e-10
+        assert np.linalg.norm(exponential_matrix(spec, t) - kraus.transfer) <= 1e-10
