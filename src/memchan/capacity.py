@@ -5,9 +5,10 @@ four-state ensemble that interpolates between product states (theta = 0)
 and Bell states (theta = pi/4).  It is computed two ways: numerically from
 the density-matrix pipeline (the ground truth), and from closed-form
 eigenvalue expressions for the depolarizing and amplitude-damping memory
-channels; the numeric I2 has a per-state form and a batched one (I2Kernel,
-i2_grid) with shared clamp rules.  Threshold analysis locates the memory
-degree mu_t where the Bell ensemble starts to outperform the product ensemble.
+channels.  One formula (_i2) serves every numeric I2, for one KrausSet
+(mutual_information_numeric) and on a grid (I2Kernel, i2_grid).  Threshold
+analysis locates the memory degree mu_t where the Bell ensemble starts to
+outperform the product ensemble.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .channels import (
     AMPLITUDE_DAMPING,
     CPTP_APPLY_TOL,
     DensityMatrix,
     KrausSet,
     _check_range,
-    apply,
     check_density_form,
     check_positive_spectra,
     memory_branch_bound,
@@ -55,6 +56,8 @@ class InputEnsemble:
         total = sum(probs)
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        if len(dims := sorted({state.dim for state in self.states})) != 1:
+            raise ValueError(f"ensemble states must share one dimension, got dimensions {dims}")
         for state in self.states:
             purity = float(np.einsum("ij,ji->", state.mat, state.mat).real)
             if abs(purity - 1.0) > PURITY_TOL:
@@ -112,16 +115,34 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(_entropy_bits(rho.eigenvalues))
 
 
+def _i2(stack: np.ndarray, probs) -> np.ndarray:
+    """I2 from a (n + 1, ..., d*d) stack of vectorized matrices whose first n
+    entries are outputs that passed check_density_form: writes their average,
+    weighted by probs (n, ...), into the last entry, takes every spectrum by
+    one hermitian_eigen call, checks positivity (check_positive_spectra) and
+    returns S(avg) - sum_i q_i S(output_i) (_entropy_bits, _holevo)."""
+    outputs, avg = stack[:-1], stack[-1]
+    np.multiply(probs[0][..., None], outputs[0], out=avg)
+    for q, output in zip(probs[1:], outputs[1:]):
+        avg += q[..., None] * output
+    d = math.isqrt(stack.shape[-1])
+    spectra = linalg.hermitian_eigen(stack.reshape(stack.shape[:-1] + (d, d)))
+    entropies = _entropy_bits(check_positive_spectra(spectra))
+    return _holevo(entropies[-1], entropies[:-1], probs)
+
+
 def mutual_information_numeric(kraus: KrausSet, ensemble: InputEnsemble) -> float:
-    """I2 = S(avg output) - sum_i q_i S(output_i); rounding below 0 reads as 0."""
+    """I2 = S(avg output) - sum_i q_i S(output_i); rounding below 0 reads as 0.
+    The outputs are form-checked; their average, a convex combination of
+    them, needs no check of its own (see I2Kernel)."""
     if kraus.dim != ensemble.dim:
-        raise ValueError(
-            f"channel dim {kraus.dim} does not match ensemble dim {ensemble.dim}"
-        )
-    outputs = [apply(kraus, state) for state in ensemble.states]
-    avg = sum(q * out.mat for q, out in zip(ensemble.probs, outputs))
-    s_avg = von_neumann_entropy(DensityMatrix(avg))
-    return float(_holevo(s_avg, [von_neumann_entropy(out) for out in outputs], ensemble.probs))
+        raise ValueError(f"channel dim {kraus.dim} does not match ensemble dim {ensemble.dim}")
+    kraus.require_trace_preserving()
+    n, d = len(ensemble.states), kraus.dim
+    stack = np.empty((n + 1, d * d), dtype=complex)
+    stack[:n] = [state.mat.reshape(-1) for state in ensemble.states] @ kraus.transfer.T
+    check_density_form(stack[:n].reshape(n, d, d))
+    return float(_i2(stack, np.array(ensemble.probs)))
 
 
 class I2Kernel:
@@ -141,11 +162,11 @@ class I2Kernel:
     anti-Hermitian part and its trace - 1 are affine in mu and an average's
     are convex combinations of the outputs'.  Their norms are therefore
     largest at a branch: the certificate covers every output and average at
-    every mu in [0, 1], up to a few ulps of rounding.  Positivity is checked
-    per slice (check_positive_spectra), on the spectra its one eigvalsh call
+    every mu in [0, 1], up to a few ulps of rounding.  A slice mixes the
+    outputs and hands them to _i2, the formula mutual_information_numeric
+    uses too, which checks positivity on the spectra its one eigensolve
     takes for the entropies.  Every slice writes into one buffer the kernel
-    keeps, so one kernel must not run two slices at once.  Agrees with
-    mutual_information_numeric to rounding.
+    keeps, so one kernel must not run two slices at once.
     """
 
     def __init__(self, family: str, params, thetas):
@@ -182,16 +203,10 @@ class I2Kernel:
     def at(self, mu: float) -> np.ndarray:
         """I2[param, theta] at memory degree mu."""
         _check_range("mu", mu)
-        stack = self._stack
-        outputs, avg = stack[:4], stack[4]
+        outputs = self._stack[:4]
         np.multiply(self._unc, 1.0 - mu, out=outputs)
         outputs += mu * self._cor
-        np.multiply(self._probs[0][:, None], outputs[0], out=avg)
-        for q, output in zip(self._probs[1:], outputs[1:]):
-            avg += q[:, None] * output
-        spectra = np.linalg.eigvalsh(stack.reshape(stack.shape[:3] + (4, 4)))
-        entropies = _entropy_bits(check_positive_spectra(spectra))
-        return _holevo(entropies[4], entropies[:4], self._probs)
+        return _i2(self._stack, self._probs)
 
 
 def i2_grid(family: str, mus, params, thetas) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Pauli constants and two numpy solves.  ``solve_linear`` refuses non-square
 or non-finite input and a matrix singular to a relative tolerance, where numpy
-rejects only an exact zero pivot.  ``hermitian_eigen`` checks nothing itself:
-its caller, ``channels.density_spectra``, checks the density form first."""
+rejects only an exact zero pivot.  ``hermitian_eigen`` checks nothing: its
+callers, ``channels.density_spectra`` and ``capacity._i2``, check the form."""
 
 import numpy as np
 
@@ -24,8 +24,8 @@ PAULI_PAIRS = _readonly(np.einsum("aij,bkl->abikjl", PAULIS, PAULIS).reshape(4, 
 
 def hermitian_eigen(a) -> np.ndarray:
     """Ascending eigenvalues (read-only) of a Hermitian matrix, or of each
-    matrix in a (..., n, n) stack, by one eigvalsh call.  Unchecked: eigvalsh
-    reads one triangle, so check the form first (channels.check_density_form)."""
+    matrix in a (..., n, n) stack, by one eigvalsh call (memchan's only one).
+    Unchecked (eigvalsh reads one triangle): run channels.check_density_form first."""
     return _readonly(np.linalg.eigvalsh(a))
 
 

@@ -26,6 +26,7 @@ from memchan.channels import (
     ChannelParams,
     DensityMatrix,
     KrausSet,
+    amplitude_damping_kraus,
     apply,
     build_memory_channel,
     pure_state,
@@ -109,6 +110,9 @@ def test_input_ensemble_validation():
     mixed = DensityMatrix(np.eye(4) / 4)
     with pytest.raises(ValueError, match="pure"):
         InputEnsemble(probs=(1.0,), states=(mixed,))
+    qubit = pure_state(np.array([1, 0], dtype=complex))
+    with pytest.raises(ValueError, match=re.escape("one dimension, got dimensions [2, 4]")):
+        InputEnsemble(probs=(0.5, 0.5), states=(qubit, state))
 
 
 # ----------------------------------------------------------------------
@@ -172,12 +176,64 @@ def test_i2_dimension_mismatch():
         mutual_information_numeric(single, theta_ensemble(0.0))
 
 
+def _reference_i2(kraus, ensemble):
+    """I2 by the per-state formula the scalar path replaced: apply the channel
+    to each state, build the average as a DensityMatrix, and take each entropy
+    with von_neumann_entropy."""
+    outputs = [apply(kraus, state) for state in ensemble.states]
+    avg = sum(q * out.mat for q, out in zip(ensemble.probs, outputs))
+    s_avg = von_neumann_entropy(DensityMatrix(avg))
+    s_outputs = [von_neumann_entropy(out) for out in outputs]
+    return float(capacity._holevo(s_avg, s_outputs, ensemble.probs))
+
+
+@pytest.mark.parametrize(
+    "family,scale_param",
+    [(AMPLITUDE_DAMPING, PI / 2), (DEPHASING, 1.0), (DEPOLARIZING, 1.0)],
+    ids=["ad", "dephasing", "dp"],
+)
+def test_i2_matches_per_state_reference(family, scale_param):
+    # the 11x11x5 grids of acceptance criterion 3
+    ensembles = [theta_ensemble(PI / 2 * i / 4) for i in range(5)]
+    for param in (scale_param * i / 10 for i in range(11)):
+        for mu in (i / 10 for i in range(11)):
+            kraus = family_channel(family, param, mu)
+            for ensemble in ensembles:
+                ref = _reference_i2(kraus, ensemble)
+                value = mutual_information_numeric(kraus, ensemble)
+                assert abs(value - ref) <= 1e-14, (param, mu, ref - value)
+
+
+def test_i2_single_qubit_matches_per_state_reference():
+    kraus = amplitude_damping_kraus(0.7)
+    ensemble = InputEnsemble(
+        probs=(0.3, 0.7),
+        states=(pure_state(np.array([1, 0])), pure_state(np.array([1, 1j]))),
+    )
+    value = mutual_information_numeric(kraus, ensemble)
+    assert value > 0.1
+    assert abs(value - _reference_i2(kraus, ensemble)) <= 1e-14
+
+
+def test_i2_takes_every_spectrum_in_one_eigensolve(monkeypatch):
+    kraus, ensemble = ad_channel(0.7, 0.4), theta_ensemble(PI / 8)
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.copy()) or eigvalsh(a))
+    mutual_information_numeric(kraus, ensemble)
+    (stack,) = stacks
+    assert stack.shape == (5, 4, 4)
+
+
 @pytest.mark.parametrize("excess", [1e-13, 1e-9])
 def test_i2_negative_difference(monkeypatch, excess):
-    # the average output's entropy is taken first; each of the four outputs
-    # then reads `excess` more, so the difference is about -excess
-    entropies = iter([1.0] + [1.0 + excess] * 4)
-    monkeypatch.setattr(capacity, "von_neumann_entropy", lambda rho: next(entropies))
+    # each of the four outputs reads `excess` more entropy than the ensemble
+    # average, the last of the five spectra the scalar path takes, so the
+    # difference is about -excess
+    def entropies(spectra):
+        return np.where(np.arange(5) < 4, 1.0 + excess, 1.0)
+
+    monkeypatch.setattr(capacity, "_entropy_bits", entropies)
     identity = KrausSet((np.eye(4, dtype=complex),))
     if excess < capacity.TERM_NEGATIVE_TOL:
         assert mutual_information_numeric(identity, theta_ensemble(0.0)) == 0.0
