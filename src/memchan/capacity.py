@@ -180,18 +180,13 @@ class I2Kernel:
             if not bound <= CPTP_APPLY_TOL:  # a NaN bound fails too
                 raise ValueError(f"memory branches are not trace preserving: residual {bound:.3e}")
             transfers[i] = [b.transfer for b in branches]
-        # outputs of the uncorrelated and correlated branches, moved from
-        # einsum's (param, theta, state, 16) to state-major (state, param,
-        # theta, 16) so that every operand of a slice is contiguous: numpy
-        # gives a ufunc whose operands are not all contiguous alike iteration
-        # buffers as large as them.  Each temporary goes as soon as it is
-        # used, so that setting up peaks below a slice.
-        unc, cor = (np.einsum("pij,tsj->ptsi", transfers[:, b], inputs) for b in (0, 1))
-        del transfers
-        self._unc = np.ascontiguousarray(np.moveaxis(unc, 2, 0))
-        del unc
-        self._cor = np.ascontiguousarray(np.moveaxis(cor, 2, 0))
-        del cor
+        # outputs of the uncorrelated and correlated branches, written
+        # state-major (state, param, theta, 16) and contiguous, the layout
+        # every slice reads
+        self._unc, self._cor = (
+            np.einsum("pij,tsj->spti", transfers[:, b], inputs, order="C") for b in (0, 1)
+        )
+        del transfers  # so that setting up, the certificate included, peaks below a slice
         # one state at a time, so the certificate's temporaries stay small
         for branch in (self._unc, self._cor):
             for outputs in branch:

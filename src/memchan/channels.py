@@ -98,8 +98,7 @@ class DensityMatrix:
         if m.shape[0] not in (2, 4):
             raise ValueError(f"unsupported dimension {m.shape[0]}, expected 2 or 4")
         spectrum = density_spectra(m)
-        m.flags.writeable = False
-        self.mat = m
+        self.mat = linalg._readonly(m)
         self.eigenvalues = spectrum
 
     @property
@@ -152,8 +151,7 @@ class KrausSet:
         stack = np.array(self.ops, dtype=complex)
         if not np.isfinite(stack).all():
             raise ValueError("Kraus operator has non-finite entries")
-        stack.flags.writeable = False
-        object.__setattr__(self, "ops", stack)
+        object.__setattr__(self, "ops", linalg._readonly(stack))
 
     @property
     def dim(self) -> int:
@@ -168,9 +166,8 @@ class KrausSet:
     def transfer(self) -> np.ndarray:
         """Matrix T = sum_k kron(K, conj(K)) with T @ vec(rho) = vec(sum_k K rho K*)
         under row-major vectorization (dim^2 x dim^2); read-only."""
-        t = np.einsum("kij,kab->iajb", self.ops, self.ops.conj()).reshape((self.dim**2,) * 2)
-        t.flags.writeable = False
-        return t
+        t = np.einsum("kij,kab->iajb", self.ops, self.ops.conj())
+        return linalg._readonly(t.reshape((self.dim**2,) * 2))
 
     def require_trace_preserving(self) -> None:
         """Raise ValueError when the completeness residual exceeds CPTP_APPLY_TOL."""

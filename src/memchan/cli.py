@@ -95,20 +95,9 @@ def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> 
 # sweep
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sweep:
-    """I2[mu, param, theta] on a grid: numeric, and closed form where the
-    family has one (None for dephasing)."""
-
-    tag: str
-    mus: list
-    params: list
-    thetas: list
-    numeric: np.ndarray
-    closed: np.ndarray | None
-
-
-def compute_sweep(tag: str, mus: list, params: list, thetas: list) -> Sweep:
+def compute_sweep(tag: str, mus: list, params: list, thetas: list) -> tuple:
+    """(numeric, closed): I2[mu, param, theta] on a grid, numeric and in closed
+    form where the family has one (closed is None for dephasing)."""
     numeric = capacity.i2_grid(CHANNEL_TAGS[tag], mus, params, thetas)
     # looked up at call time, so a wrapped or patched closed form is the one used
     form = {"ad": capacity.i2_ad_closed, "dp": capacity.i2_depolarizing_closed}.get(tag)
@@ -116,20 +105,20 @@ def compute_sweep(tag: str, mus: list, params: list, thetas: list) -> Sweep:
         [form(param, mu, theta)[0] for mu in mus for param in params for theta in thetas],
         numeric.shape,
     )
-    return Sweep(tag, mus, params, thetas, numeric, closed)
+    return numeric, closed
 
 
-def sweep_csv(sweep: Sweep, out) -> None:
-    """Write the sweep as CSV to a text handle, one row at a time; delta is
-    |i2_numeric - i2_closed|, and both closed-form columns are empty without one."""
+def sweep_csv(tag: str, mus: list, params: list, thetas: list, numeric, closed, out) -> None:
+    """Write a sweep as CSV to a text handle, one row at a time; delta is
+    |i2_numeric - i2_closed|, and both closed-form columns are empty without one.
+    Each axis value is formatted once."""
+    mus, params, thetas = ([_fmt(x) for x in axis] for axis in (mus, params, thetas))
     out.write(SWEEP_HEADER + "\n")
-    for (i, j, k), numeric in np.ndenumerate(sweep.numeric):
+    for (i, j, k), value in np.ndenumerate(numeric):
         tail = ","
-        if sweep.closed is not None:
-            closed = sweep.closed[i, j, k]
-            tail = f"{_fmt(closed)},{_fmt(abs(numeric - closed))}"
-        point = (sweep.mus[i], sweep.params[j], sweep.thetas[k], numeric)
-        out.write(",".join([sweep.tag, *map(_fmt, point), tail]) + "\n")
+        if closed is not None:
+            tail = f"{_fmt(closed[i, j, k])},{_fmt(abs(value - closed[i, j, k]))}"
+        out.write(f"{tag},{mus[i]},{params[j]},{thetas[k]},{_fmt(value)},{tail}\n")
 
 
 def cmd_sweep(args) -> int:
@@ -140,12 +129,13 @@ def cmd_sweep(args) -> int:
     if (points := len(mus) * len(params) * len(thetas)) > MAX_GRID_POINTS:
         raise UsageError(f"grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")
     # every value is computed before any output opens, so a failure writes nothing
-    sweep = compute_sweep(args.channel, mus, params, thetas)
+    grid = (args.channel, mus, params, thetas)
+    numeric, closed = compute_sweep(*grid)
     if args.out is None:
-        sweep_csv(sweep, sys.stdout)
+        sweep_csv(*grid, numeric, closed, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            sweep_csv(sweep, fh)
+            sweep_csv(*grid, numeric, closed, fh)
     return EXIT_OK
 
 
@@ -264,8 +254,8 @@ def check_closed_forms() -> CheckSection:
     for tag in ("ad", "dp"):
         lo, hi = _param_domain(tag)
         params = [lo + (hi - lo) * i / 10 for i in range(11)]
-        sweep = compute_sweep(tag, mus, params, thetas)
-        residuals.append(np.abs(sweep.numeric - sweep.closed).max())
+        numeric, closed = compute_sweep(tag, mus, params, thetas)
+        residuals.append(np.abs(numeric - closed).max())
     return CheckSection("closed_form_vs_numeric", _worst(residuals), 1e-9)
 
 

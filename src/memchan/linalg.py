@@ -30,14 +30,20 @@ def hermitian_eigen(a) -> np.ndarray:
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve a @ x = b for a vector or stacked right-hand sides b."""
+    """Solve a @ x = b for a vector or stacked right-hand sides b by one
+    inversion of a, which also gives its reciprocal condition number."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    rcond = 1.0 / float(np.linalg.cond(a, "fro"))  # 0.0 when a is exactly singular
-    if rcond <= PIVOT_TOL:
+    try:
+        with np.errstate(all="ignore"):  # an overflowing norm reads inf, as in np.linalg.cond
+            inv = np.linalg.inv(a)
+            rcond = 1.0 / float(np.linalg.norm(a) * np.linalg.norm(inv))
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        rcond = 0.0
+    if not rcond > PIVOT_TOL:  # a NaN from an overflowing inverse fails too
         msg = f"reciprocal condition number {rcond:.3e} (floor {PIVOT_TOL:g})"
         raise ValueError(f"matrix is singular to tolerance: {msg}")
-    return np.linalg.solve(a, b)
+    return inv @ b

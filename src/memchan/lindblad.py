@@ -45,8 +45,7 @@ from .linalg import PAULI_PAIRS
 DUALITY_TOL = 1e-10
 
 # annihilation |1><0| in the {|0> excited, |1> ground} basis
-LOWERING = np.array([[0, 0], [1, 0]], dtype=complex)
-LOWERING.flags.writeable = False
+LOWERING = linalg._readonly(np.array([[0, 0], [1, 0]], dtype=complex))
 
 
 def _check_nonnegative(**values: float) -> None:

@@ -429,6 +429,17 @@ def test_i2_grid_is_bitwise_the_per_slice_formula(family, params):
     assert np.array_equal(grid, _reference_i2_grid(family, mus, params, EDGE_THETAS))
 
 
+@pytest.mark.parametrize("family", [AMPLITUDE_DAMPING, DEPHASING, DEPOLARIZING])
+def test_i2_kernel_branch_outputs_are_state_major_and_contiguous(family):
+    # numpy buffers a ufunc whose operands are not contiguous alike, so every
+    # slice operand is a C-contiguous (state, param, theta, 16) array
+    params, thetas = [0.1, 0.5, 0.9], [0.0, PI / 4]
+    kernel = I2Kernel(family, params, thetas)
+    for branch in (kernel._unc, kernel._cor):
+        assert branch.shape == (4, len(params), len(thetas), 16)
+        assert branch.flags.c_contiguous
+
+
 @pytest.mark.parametrize("excess", [1e-13, 1e-9])
 def test_i2_kernel_negative_difference(monkeypatch, excess):
     # as in test_i2_negative_difference: each of the four outputs reads

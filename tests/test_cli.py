@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -202,6 +203,36 @@ def test_sweep_out_file_matches_stdout(capsys, tmp_path, tag):
     assert all(row.endswith(",,") for row in rows) == (tag == "dephasing")
 
 
+def _reference_sweep_csv(tag, mus, params, thetas, numeric, closed):
+    """The per-cell CSV that sweep_csv replaced: each row formats its axis values anew."""
+    lines = [SWEEP_HEADER]
+    for (i, j, k), value in np.ndenumerate(numeric):
+        tail = ","
+        if closed is not None:
+            tail = f"{cli._fmt(closed[i, j, k])},{cli._fmt(abs(value - closed[i, j, k]))}"
+        point = (mus[i], params[j], thetas[k], value)
+        lines.append(",".join([tag, *map(cli._fmt, point), tail]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "tag, mus, params, thetas",
+    [
+        ("ad", [0.0, 1 / 3, 1.0], [0.1, PI / 7, PI / 2], [0.0, PI / 8, PI / 4]),
+        ("dp", [0.0, 0.35, 2 / 3, 1.0], [1 / 7, 0.75], [0.3]),
+        ("dephasing", [0.2, 0.9], [0.0, 1 / 3, 1.0], [0.0, PI / 3]),
+    ],
+    ids=["ad", "dp_one_theta", "dephasing"],
+)
+def test_sweep_csv_matches_per_cell_reference(tag, mus, params, thetas):
+    numeric, closed = cli.compute_sweep(tag, mus, params, thetas)
+    assert numeric.shape == (len(mus), len(params), len(thetas))
+    assert (closed is None) == (tag == "dephasing")
+    out = io.StringIO()
+    cli.sweep_csv(tag, mus, params, thetas, numeric, closed, out)
+    assert out.getvalue() == _reference_sweep_csv(tag, mus, params, thetas, numeric, closed)
+
+
 @pytest.mark.parametrize("out_file", [False, True], ids=["stdout", "out"])
 def test_sweep_failure_writes_nothing(capsys, tmp_path, monkeypatch, out_file):
     # the kernel fails on the third memory degree, after two slices succeeded
@@ -391,6 +422,122 @@ def test_inequality_needs_two_points(capsys):
     code, _, err = run_cli(capsys, "inequality", "1")
     assert code == EXIT_USAGE
     assert "grid_count" in err
+
+
+# ----------------------------------------------------------------------
+# bad-input corpus
+# ----------------------------------------------------------------------
+
+# every positional of sweep, threshold and inequality, one at a time, gets
+# each token below; the other positionals stay tiny (counts <= 2, tol 1e-3)
+CORPUS_TOKENS = ("nan", "inf", "-inf", "-0.0", "1e308", "", "x")
+CORPUS_COUNTS = ("0", "1", "2", str(cli.MAX_GRID_POINTS + 1))
+CORPUS_MAX_POINTS = 8  # the largest grid a corpus case may run: 2 x 2 x 2
+
+
+def _edge_tokens(lo, hi):
+    """Just outside (by 1e-9 and by one double) and just inside each domain end."""
+    values = [lo - 1e-9, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf)]
+    values += [hi + 1e-9, math.nextafter(hi, math.inf), math.nextafter(hi, -math.inf)]
+    return tuple(map(repr, values))
+
+
+def _spec_tokens(lo, hi):
+    """Range specs lo:hi:count that vary one field, a reversed range and two non-specs."""
+    scalars = CORPUS_TOKENS + _edge_tokens(lo, hi)
+    return (
+        [f"{x}:{hi!r}:2" for x in scalars]
+        + [f"{lo!r}:{x}:2" for x in scalars]
+        + [f"{lo!r}:{hi!r}:{n}" for n in CORPUS_TOKENS + CORPUS_COUNTS]
+        + [f"{hi!r}:{lo!r}:2", "", "x"]
+    )
+
+
+def _corpus():
+    """(argv, id) cases: each command's base argv with one positional replaced."""
+    mu, theta, chi, p = (channels.DOMAINS[name] for name in ("mu", "theta", "chi", "p"))
+    slots = [
+        # (base argv, index of the replaced positional, tokens)
+        (["sweep", "ad", "0:1:2", "0:1:2", "0:0.5:2"], 1, CORPUS_TOKENS),
+        (["sweep", "ad", "0:1:2", "0:1:2", "0:0.5:2"], 2, _spec_tokens(*mu)),
+        (["sweep", "ad", "0:1:2", "0:1:2", "0:0.5:2"], 3, _spec_tokens(*chi)),
+        (["sweep", "dp", "0:1:2", "0:1:2", "0:0.5:2"], 3, _spec_tokens(*p)),
+        (["sweep", "dephasing", "0:1:2", "0:1:2", "0:0.5:2"], 3, _spec_tokens(*p)),
+        (["sweep", "ad", "0:1:2", "0:1:2", "0:0.5:2"], 4, _spec_tokens(*theta)),
+        (["threshold", "ad", "0.6", "1e-3"], 1, CORPUS_TOKENS),
+        (["threshold", "ad", "0.6", "1e-3"], 2, CORPUS_TOKENS + _edge_tokens(*chi)),
+        (["threshold", "dp", "0.6", "1e-3"], 2, CORPUS_TOKENS + _edge_tokens(*p)),
+        (["threshold", "ad", "0.6", "1e-3"], 3, CORPUS_TOKENS + ("0", "5e-324")),
+        (["inequality", "2"], 1, CORPUS_TOKENS + CORPUS_COUNTS),
+    ]
+    cases = {}
+    for base, index, tokens in slots:
+        for token in tokens:
+            argv = base[:index] + [token] + base[index + 1:]
+            cases[" ".join(map(repr, argv))] = argv
+    return cases
+
+
+CORPUS = _corpus()
+
+
+def _check_answer(argv, out):
+    """The stdout of an exit-0 corpus case parses, and every value is in its domain."""
+    command, tag = argv[0], argv[1]
+    in_domain = channels._check_range
+    if command == "threshold":
+        payload = json.loads(out)
+        in_domain(channels.FAMILIES[cli.CHANNEL_TAGS[tag]], payload["param"])
+        assert payload["mu_t"] is None or 0.0 <= payload["mu_t"] <= 1.0
+        return
+    header, *rows = out.splitlines()
+    assert rows
+    if command == "inequality":
+        assert header == "chi,i2_mu1,i2_mu0,holds"
+        for chi, lhs, rhs, holds in (row.split(",") for row in rows):
+            in_domain("chi", float(chi))
+            assert 0.0 <= float(lhs) <= 2.0 and 0.0 <= float(rhs) <= 2.0
+            assert holds in ("true", "false")
+        return
+    assert header == SWEEP_HEADER
+    for row in rows:
+        row_tag, mu, param, theta, numeric, closed, delta = row.split(",")
+        assert row_tag == tag
+        in_domain("mu", float(mu))
+        in_domain(channels.FAMILIES[cli.CHANNEL_TAGS[tag]], float(param))
+        in_domain("theta", float(theta))
+        assert 0.0 <= float(numeric) <= 2.0
+        if tag != "dephasing":
+            assert abs(float(closed) - float(numeric)) <= float(delta) + 1e-12
+
+
+@pytest.mark.parametrize("argv", list(CORPUS.values()), ids=list(CORPUS))
+def test_bad_input_corpus_answers_or_is_usage_error(capsys, monkeypatch, argv):
+    # an over-limit count must be refused from the counts alone: a grid larger
+    # than the corpus's tiny ones reaching the kernel fails the case
+    i2_grid, inequality = capacity.i2_grid, capacity.product_memory_inequality
+
+    def small_grid(family, mus, params, thetas):
+        assert len(mus) * len(params) * len(thetas) <= CORPUS_MAX_POINTS
+        return i2_grid(family, mus, params, thetas)
+
+    def small_inequality(chis):
+        assert len(chis) <= CORPUS_MAX_POINTS
+        return inequality(chis)
+
+    monkeypatch.setattr(capacity, "i2_grid", small_grid)
+    monkeypatch.setattr(capacity, "product_memory_inequality", small_inequality)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a token it cannot convert
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        _check_answer(argv, out)
+    else:
+        assert code == EXIT_USAGE
+        assert out == "" and err
 
 
 # ----------------------------------------------------------------------
