@@ -22,11 +22,13 @@ from . import linalg
 from .channels import (
     AMPLITUDE_DAMPING,
     CPTP_APPLY_TOL,
+    DOMAINS,
     DensityMatrix,
     KrausSet,
     _check_range,
     check_density_form,
     check_positive_spectra,
+    grid,
     memory_branch_bound,
     pure_state,
 )
@@ -351,7 +353,7 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
         bell, product = kernel.at(mu)[0].tolist()
         return bell - product
 
-    seeds = [i / (THRESHOLD_SEEDS - 1) for i in range(THRESHOLD_SEEDS)]
+    seeds = grid(*DOMAINS["mu"], THRESHOLD_SEEDS)
     raw = [gap(mu) for mu in seeds]
     # values at the numerical-noise level carry no sign information
     gaps = [g if abs(g) > THRESHOLD_NOISE_FLOOR else 0.0 for g in raw]

@@ -42,6 +42,17 @@ DOMAINS = dict(mu=(0.0, 1.0), chi=(0.0, math.pi / 2), p=(0.0, 1.0), theta=(0.0, 
 FAMILIES = {AMPLITUDE_DAMPING: "chi", DEPHASING: "p", DEPOLARIZING: "p"}
 
 
+def grid(lo: float, hi: float, count: int) -> list:
+    """count equally spaced floats, memchan's one grid rule: exactly lo and hi
+    at the ends, so no point rounds past a DOMAINS end, and lo + (hi - lo) *
+    i / (count - 1) between them; a count of 1 gives [lo]."""
+    if count < 1:
+        raise ValueError(f"grid count must be at least 1, got {count!r}")
+    if count == 1:
+        return [lo]
+    return [lo] + [lo + (hi - lo) * i / (count - 1) for i in range(1, count - 1)] + [hi]
+
+
 def _check_range(name: str, value: float) -> None:
     lo, hi = DOMAINS[name]
     if not (lo <= value <= hi):

@@ -83,12 +83,9 @@ def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> 
         raise UsageError(
             f"{name}: range [{lo!r}, {hi!r}] lies outside [{lo_bound!r}, {hi_bound!r}]"
         )
-    # The end points are exactly lo and hi, clamped into the domain: the slack
-    # above, or rounding in lo + (hi - lo) * i / (count - 1), may step past it.
+    # clamped into the domain, since the slack above may step past it
     lo, hi = (min(max(x, lo_bound), hi_bound) for x in (lo, hi))
-    if count == 1:
-        return [lo]
-    return [lo] + [lo + (hi - lo) * i / (count - 1) for i in range(1, count - 1)] + [hi]
+    return channels.grid(lo, hi, count)
 
 
 # ----------------------------------------------------------------------
@@ -171,12 +168,12 @@ def check_cptp_constructors() -> CheckSection:
     degree mu in [0, 1] at once; and one mixture at MIXTURE_CHECK_MU built by
     build_memory_channel, so that a wrong mixing rule fails the section too.
     """
+    grids = {name: channels.grid(*domain, 21) for name, domain in channels.DOMAINS.items()}
     residuals = []
-    for x in (i / 20 for i in range(21)):
-        chi = x * channels.DOMAINS["chi"][1]
+    for i, chi in enumerate(grids["chi"]):
         residuals.append(channels.check_cptp(channels.amplitude_damping_kraus(chi)))
         for family, name in channels.FAMILIES.items():
-            param = x * channels.DOMAINS[name][1]
+            param = grids[name][i]
             bound, _ = channels.memory_branch_bound(family, param)
             mixture = channels.build_memory_channel(
                 channels.ChannelParams.for_family(family, param, MIXTURE_CHECK_MU)
@@ -248,12 +245,11 @@ def check_uncorrelated_dephasing() -> CheckSection:
 
 def check_closed_forms() -> CheckSection:
     """Closed-form I2 vs the numeric pipeline on 11 x 11 x 5 grids."""
-    mus = [i / 10 for i in range(11)]
-    thetas = [channels.DOMAINS["theta"][1] * i / 4 for i in range(5)]
+    mus = channels.grid(*channels.DOMAINS["mu"], 11)
+    thetas = channels.grid(*channels.DOMAINS["theta"], 5)
     residuals = []
     for tag in ("ad", "dp"):
-        lo, hi = _param_domain(tag)
-        params = [lo + (hi - lo) * i / 10 for i in range(11)]
+        params = channels.grid(*_param_domain(tag), 11)
         numeric, closed = compute_sweep(tag, mus, params, thetas)
         residuals.append(np.abs(numeric - closed).max())
     return CheckSection("closed_form_vs_numeric", _worst(residuals), 1e-9)
@@ -315,8 +311,7 @@ def cmd_threshold(args) -> int:
 def cmd_inequality(args) -> int:
     if not 2 <= args.grid_count <= MAX_GRID_POINTS:
         raise UsageError(f"grid_count must lie in [2, {MAX_GRID_POINTS}], got {args.grid_count}")
-    chi_max = channels.DOMAINS["chi"][1]
-    chis = [chi_max * i / (args.grid_count - 1) for i in range(args.grid_count)]
+    chis = channels.grid(*channels.DOMAINS["chi"], args.grid_count)
     rows = capacity.product_memory_inequality(chis)
     lines = ["chi,i2_mu1,i2_mu0,holds"]
     for chi, lhs, rhs, holds in rows:

@@ -5,7 +5,7 @@ callers, ``channels.density_spectra`` and ``capacity._i2``, check the form."""
 
 import numpy as np
 
-PIVOT_TOL = 1e-12       # floor on 1 / (||a||_F ||a^-1||_F)
+PIVOT_TOL = 1e-12       # floor on 1 / (||a||_F ||a^-1||_F), scale-free
 
 
 def _readonly(m: np.ndarray) -> np.ndarray:
@@ -40,7 +40,9 @@ def solve_linear(a, b) -> np.ndarray:
     try:
         with np.errstate(all="ignore"):  # an overflowing norm reads inf, as in np.linalg.cond
             inv = np.linalg.inv(a)
-            rcond = 1.0 / float(np.linalg.norm(a) * np.linalg.norm(inv))
+            # scaled by s = max|a_ij|, so a well conditioned a of any size passes
+            s = float(np.abs(a).max())
+            rcond = 1.0 / float(np.linalg.norm(a / s) * np.linalg.norm(s * inv))
     except np.linalg.LinAlgError:  # an exactly zero pivot
         rcond = 0.0
     if not rcond > PIVOT_TOL:  # a NaN from an overflowing inverse fails too

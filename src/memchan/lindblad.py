@@ -58,7 +58,7 @@ def _check_nonnegative(**values: float) -> None:
 class LindbladSpec:
     """Jump-operator form of a two-qubit generator: term k has rate rates[k]
     and jump jumps[k] on the two-use space.  rates (n,) float and jumps
-    (n, 4, 4) complex are read-only stacks."""
+    (n, 4, 4) complex, all finite, are read-only stacks."""
 
     rates: np.ndarray
     jumps: np.ndarray
@@ -74,6 +74,8 @@ class LindbladSpec:
             raise ValueError(f"jump operator shape {jumps.shape[-2:]} is not (4, 4)")
         if rates.ndim != 1 or jumps.shape != (rates.size, 4, 4):
             raise ValueError(f"{rates.shape} rates do not match {jumps.shape} jumps")
+        if not np.isfinite(jumps).all():
+            raise ValueError("jump operator has non-finite entries")
         object.__setattr__(self, "rates", linalg._readonly(rates))
         object.__setattr__(self, "jumps", linalg._readonly(jumps))
 
@@ -98,19 +100,16 @@ def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
 
     vec(X) = X.reshape(-1) stacks rows, so vec(A X B) = kron(A, B.T) @ vec(X)
     (a plain transpose, not the conjugate); KrausSet.transfer and
-    spectral_matrix use the same convention.  Term k is
-    kron(J, conj J) - kron(J*J, I) / 2 - kron(I, (J*J).T) / 2, written as
-    outer products over the whole stack.  L is trace annihilating,
-    vec(I)^T S = 0, so tr L(X) = 0 for every X.
+    spectral_matrix use the same convention.  S = gain - (kron(loss, I) +
+    kron(I, loss.T)) / 2, where gain = sum_k rates[k] kron(J, conj J) is the
+    jumps' transfer matrix, contracted as in KrausSet.transfer, and loss =
+    sum_k rates[k] J*J as in KrausSet.completeness_residual.  L is trace
+    annihilating, vec(I)^T S = 0, so tr L(X) = 0 for every X.
     """
-    jumps, eye = spec.jumps, np.eye(4)
-    jdj = jumps.conj().transpose(0, 2, 1) @ jumps
-    terms = (
-        np.einsum("kij,kab->kiajb", jumps, jumps.conj())
-        - 0.5 * np.einsum("kij,ab->kiajb", jdj, eye)
-        - 0.5 * np.einsum("ij,kba->kiajb", eye, jdj)
-    )
-    return np.einsum("k,kxy->xy", spec.rates, terms.reshape(-1, 16, 16))
+    rates, jumps, eye = spec.rates, spec.jumps, np.eye(4)
+    gain = np.einsum("k,kij,kab->iajb", rates, jumps, jumps.conj()).reshape(16, 16)
+    loss = np.einsum("k,kji,kjl->il", rates, jumps.conj(), jumps)
+    return gain - 0.5 * (np.kron(loss, eye) + np.kron(eye, loss.T))
 
 
 # The catalog's layout: R00 (set per family) and R33 are diagonal, Rii is

@@ -159,6 +159,31 @@ def test_channel_params_validation():
 
 
 # ----------------------------------------------------------------------
+# grid
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(channels.DOMAINS))
+def test_grid_ends_exactly_on_its_domain(name):
+    # hi * i / (count - 1) lands one ulp above pi/2 at i = count - 1 for counts
+    # 14, 27, 48 and 53 among others; the grid's ends never round
+    lo, hi = channels.DOMAINS[name]
+    for count in range(1, 401):
+        points = channels.grid(lo, hi, count)
+        assert len(points) == count
+        assert (points[0], points[-1]) == (lo, lo if count == 1 else hi)
+        assert all(lo <= x <= hi for x in points)
+        assert points == sorted(points)
+
+
+def test_grid_interior_points():
+    assert channels.grid(0.0, 1.0, 5) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert channels.grid(0.25, 0.75, 3) == [0.25, 0.5, 0.75]
+    assert channels.grid(0.3, 0.9, 1) == [0.3]
+    with pytest.raises(ValueError, match="grid count must be at least 1, got 0"):
+        channels.grid(0.0, 1.0, 0)
+
+
+# ----------------------------------------------------------------------
 # constructors
 # ----------------------------------------------------------------------
 

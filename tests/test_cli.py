@@ -418,6 +418,18 @@ def test_inequality_table(capsys):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+@pytest.mark.parametrize("count", [14, 27])
+def test_inequality_grid_ends_at_pi_over_2(capsys, count):
+    # chi_max * i / (count - 1) overshoots pi/2 by one ulp at these counts,
+    # which the damping constructor refused with a traceback
+    code, out, err = run_cli(capsys, "inequality", str(count))
+    assert (code, err) == (EXIT_OK, "")
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == count
+    assert rows[-1].split(",")[0] == "1.57079632679"
+    assert all(row.endswith(",true") for row in rows)
+
+
 def test_inequality_needs_two_points(capsys):
     code, _, err = run_cli(capsys, "inequality", "1")
     assert code == EXIT_USAGE

@@ -90,6 +90,15 @@ def test_solve_random_well_conditioned():
             assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_solve_condition_estimate_is_scale_free(scale):
+    # ||a||_F ||a^-1||_F is 2 for both, but each factor alone under- or
+    # overflows; scaling a by max|a_ij| first keeps the estimate finite
+    a = np.diag([scale, scale])
+    x = solve_linear(a, np.array([scale, 2.0 * scale]))
+    assert np.array_equal(x, [1.0, 2.0])
+
+
 def test_solve_singular_reports_pivot():
     a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(ValueError, match="singular to tolerance"):

@@ -127,6 +127,14 @@ def test_generator_output_is_traceless():
         ("rate must be nonnegative", lambda: damping_angle(math.nan, 1.0)),
         ("time must be nonnegative", lambda: damping_angle(1.0, math.nan)),
         ("rates must be nonnegative and finite", lambda: LindbladSpec([math.inf], [np.eye(4)])),
+        (
+            "jump operator has non-finite entries",
+            lambda: LindbladSpec([1.0], [np.full((4, 4), math.nan)]),
+        ),
+        (
+            "jump operator has non-finite entries",
+            lambda: LindbladSpec([1.0], [np.full((4, 4), math.inf)]),
+        ),
         ("rate must be nonnegative and finite", lambda: catalog_ad_correlated(math.inf)),
         ("rate must be nonnegative and finite", lambda: catalog_dephasing_correlated(math.inf)),
         ("time must be nonnegative and finite", lambda: spectral_matrix(_DEPHASING_CAT, math.inf)),
@@ -160,6 +168,8 @@ def test_generator_output_is_traceless():
         "damping_angle_rate",
         "damping_angle_time",
         "lindblad_spec_inf",
+        "lindblad_spec_jump_nan",
+        "lindblad_spec_jump_inf",
         "catalog_ad_inf",
         "catalog_dephasing_inf",
         "spectral_matrix_inf",
