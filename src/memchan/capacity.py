@@ -169,6 +169,11 @@ class I2Kernel:
     uses too, which checks positivity on the spectra its one eigensolve
     takes for the entropies.  Every slice writes into one buffer the kernel
     keeps, so one kernel must not run two slices at once.
+
+    The branch transfers and input states are exactly real for the three
+    families (see linalg), so the branch outputs and the slice buffer are
+    float64 and every slice's eigensolve is real symmetric; a branch with a
+    nonzero imaginary part keeps the whole kernel complex.
     """
 
     def __init__(self, family: str, params, thetas):
@@ -182,6 +187,7 @@ class I2Kernel:
             if not bound <= CPTP_APPLY_TOL:  # a NaN bound fails too
                 raise ValueError(f"memory branches are not trace preserving: residual {bound:.3e}")
             transfers[i] = [b.transfer for b in branches]
+        transfers, inputs = linalg.real_if_exact(transfers), linalg.real_if_exact(inputs)
         # outputs of the uncorrelated and correlated branches, written
         # state-major (state, param, theta, 16) and contiguous, the layout
         # every slice reads
@@ -195,7 +201,7 @@ class I2Kernel:
                 check_density_form(outputs.reshape(-1, 4, 4))
         # (5, param, theta, 16), reused by every slice: the four outputs, then
         # their ensemble average
-        self._stack = np.empty((5,) + self._unc.shape[1:], dtype=complex)
+        self._stack = np.empty((5,) + self._unc.shape[1:], dtype=self._unc.dtype)
 
     def at(self, mu: float) -> np.ndarray:
         """I2[param, theta] at memory degree mu."""

@@ -48,7 +48,9 @@ MIXTURE_CHECK_MU = 0.35  # interior memory degree of verify's one mixture per po
 SWEEP_HEADER = "channel,mu,param,theta,i2_numeric,i2_closed,delta"
 # Most grid points per command (a sweep's mu x param x theta, grid_count): per point
 # the I2 kernel keeps at most 2x16x16 branch transfer, 2x4x16 branch output and 5x16
-# slice buffer entries, all complex (16 bytes), so 256 MiB holds 23301 points.
+# slice buffer entries.  The outputs and the buffer are float64 (8 bytes) for the
+# three families, whose transfers are exactly real; at 16 bytes for every entry, the
+# complex worst case, 256 MiB holds 23301 points.
 MAX_GRID_POINTS = 2**28 // ((2 * 16 * 16 + 2 * 4 * 16 + 5 * 16) * 16)
 
 

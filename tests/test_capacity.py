@@ -432,12 +432,34 @@ def test_i2_grid_is_bitwise_the_per_slice_formula(family, params):
 @pytest.mark.parametrize("family", [AMPLITUDE_DAMPING, DEPHASING, DEPOLARIZING])
 def test_i2_kernel_branch_outputs_are_state_major_and_contiguous(family):
     # numpy buffers a ufunc whose operands are not contiguous alike, so every
-    # slice operand is a C-contiguous (state, param, theta, 16) array
+    # slice operand is a C-contiguous (state, param, theta, 16) array; the
+    # families' transfers are exactly real, so every buffer is float64
     params, thetas = [0.1, 0.5, 0.9], [0.0, PI / 4]
     kernel = I2Kernel(family, params, thetas)
     for branch in (kernel._unc, kernel._cor):
         assert branch.shape == (4, len(params), len(thetas), 16)
         assert branch.flags.c_contiguous
+        assert branch.dtype == np.float64
+    assert kernel._stack.dtype == np.float64
+
+
+def test_i2_kernel_keeps_a_complex_branch_complex(monkeypatch):
+    # a branch transfer with a nonzero imaginary part keeps the kernel's
+    # buffers complex, and I2 still matches the scalar path
+    original = channels.memory_branches
+
+    def rotated(family, param):
+        # conjugation by a phase gate on the first use: K -> P K P*
+        unc, cor = original(family, param)
+        phase = np.diag([1.0, 1.0, np.exp(0.3j), np.exp(0.3j)])
+        return unc, KrausSet(phase @ cor.ops @ phase.conj().T)
+
+    monkeypatch.setattr(channels, "memory_branches", rotated)
+    kernel = I2Kernel(DEPOLARIZING, [0.3], [PI / 8])
+    assert kernel._unc.dtype == kernel._cor.dtype == kernel._stack.dtype == np.complex128
+    kraus = channels.memory_channel(*rotated(DEPOLARIZING, 0.3), 0.5)
+    value = mutual_information_numeric(kraus, theta_ensemble(PI / 8))
+    assert abs(kernel.at(0.5)[0, 0] - value) <= 1e-12
 
 
 @pytest.mark.parametrize("excess", [1e-13, 1e-9])

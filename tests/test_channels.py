@@ -599,6 +599,16 @@ def test_memory_branch_bound_covers_every_mixture(family, scale_param):
             assert check_cptp(kraus) <= bound + 2e-15
 
 
+@pytest.mark.parametrize("family", sorted(channels.FAMILIES))
+def test_memory_branch_transfers_are_exactly_real(family):
+    # every Kraus operator is real or purely imaginary, so kron(K, conj(K))
+    # has no imaginary part at all: the premise of the I2 kernel's float64
+    # buffers and real symmetric eigensolves
+    for param in channels.grid(*channels.DOMAINS[channels.FAMILIES[family]], 21):
+        for branch in channels.memory_branches(family, param):
+            assert not branch.transfer.imag.any(), (family, param)
+
+
 @pytest.mark.parametrize("nan_branch", [0, 1], ids=["uncorrelated", "correlated"])
 def test_memory_branch_bound_keeps_a_nan_residual(monkeypatch, nan_branch):
     residuals = iter([math.nan, 0.0] if nan_branch == 0 else [0.0, math.nan])

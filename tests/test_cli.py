@@ -623,6 +623,28 @@ def test_cptp_section_builds_one_mixture_per_grid_point(monkeypatch):
     assert built == [cli.MIXTURE_CHECK_MU] * (21 * 3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "ad", "0:1:3", "0:1.5:3", "0:0.785398:2"),
+        ("sweep", "dp", "0:1:3", "0:1:3", "0:0.785398:2"),
+        ("sweep", "dephasing", "0:1:3", "0:1:3", "0:0.785398:2"),
+        ("verify",),
+    ],
+    ids=["sweep-ad", "sweep-dp", "sweep-dephasing", "verify"],
+)
+def test_every_eigensolve_is_real_symmetric(capsys, monkeypatch, argv):
+    # the three families' transfers and the theta-ensemble states are exactly
+    # real, so no complex stack reaches eigvalsh: the complex solver's code
+    # is never paged in
+    dtypes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: dtypes.append(a.dtype) or eigvalsh(a))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
 def test_verify_stdout_is_byte_identical_run_to_run(capsys):
     first = run_cli(capsys, "verify")
     second = run_cli(capsys, "verify")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memchan.linalg import SIGMA_X, hermitian_eigen, solve_linear
+from memchan.linalg import SIGMA_X, SIGMA_Y, hermitian_eigen, real_if_exact, solve_linear
 
 
 def random_complex(rng, shape):
@@ -58,6 +58,34 @@ def test_eigen_stack_matches_each_matrix():
         assert np.array_equal(w[index], hermitian_eigen(stack[index]))
 
 
+@pytest.mark.parametrize("imag", [0.0, 1e-300])
+def test_real_if_exact_drops_only_an_exactly_zero_imaginary_part(imag):
+    a = np.array([[1.0, imag * 1j], [-imag * 1j, 2.0]])
+    out = real_if_exact(a)
+    assert out.dtype == (np.float64 if imag == 0.0 else np.complex128)
+    assert np.array_equal(out, a)
+    real = np.eye(2)
+    assert real_if_exact(real) is real
+
+
+def test_eigen_solves_a_real_stack_real_and_a_complex_one_whole(monkeypatch):
+    # the same real matrix stacked alone, then beside sigma_y x sigma_y plus
+    # the coherence 0.75i |00><11| + h.c.: one nonzero imaginary part keeps
+    # the whole stack on the complex path, with its exact spectrum
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.dtype) or eigvalsh(a))
+    real = np.diag([0.0, 0.25, 0.25, 0.5]).astype(complex)
+    coherent = np.kron(SIGMA_Y, SIGMA_Y)
+    coherent[0, 3] += 0.75j
+    coherent[3, 0] -= 0.75j
+    assert np.array_equal(hermitian_eigen(np.array([real])), [[0.0, 0.25, 0.25, 0.5]])
+    w = hermitian_eigen(np.array([real, coherent]))
+    assert calls == [np.float64, np.complex128]
+    # the |00>, |11> block is [[0, -1 + 0.75i], [-1 - 0.75i, 0]], eigenvalues +-1.25
+    assert np.allclose(w, [[0.0, 0.25, 0.25, 0.5], [-1.25, -1.0, 1.0, 1.25]], atol=1e-14)
+
+
 def test_eigen_rejects_non_square():
     with pytest.raises(ValueError):
         hermitian_eigen(np.ones((2, 3), dtype=complex))
@@ -97,6 +125,15 @@ def test_solve_condition_estimate_is_scale_free(scale):
     a = np.diag([scale, scale])
     x = solve_linear(a, np.array([scale, 2.0 * scale]))
     assert np.array_equal(x, [1.0, 2.0])
+
+
+def test_solve_overflowing_inverse_is_refused_by_name():
+    # a subnormal diagonal is well conditioned, but its inverse overflows;
+    # 1e-308 still has a finite inverse and solves
+    with pytest.raises(ValueError, match="inverse overflows"):
+        solve_linear(np.diag([1e-310, 1e-310]), np.ones(2))
+    x = solve_linear(np.diag([1e-308, 1e-308]), np.ones(2))
+    assert np.allclose(x, [1e308, 1e308], rtol=1e-15, atol=0.0)
 
 
 def test_solve_singular_reports_pivot():
