@@ -147,6 +147,11 @@ def mutual_information_numeric(kraus: KrausSet, ensemble: InputEnsemble) -> floa
     return float(_i2(stack, np.array(ensemble.probs)))
 
 
+# Most bytes an I2Kernel keeps per grid point: 2x16x16 branch transfer, 2x4x16
+# branch output and 5x16 slice buffer entries, at 16 bytes each (complex, the worst case)
+I2_BYTES_PER_POINT = (2 * 16 * 16 + 2 * 4 * 16 + 5 * 16) * 16
+
+
 class I2Kernel:
     """Numeric I2 of one family's memory channel on a (param, theta) grid,
     one memory degree mu at a time.

@@ -31,9 +31,10 @@ from .linalg import PAULI_PAIRS
 DENSITY_TOL = 1e-10      # Hermiticity / trace / positivity gates
 CPTP_APPLY_TOL = 1e-10   # completeness residual allowed when applying a channel
 
-AMPLITUDE_DAMPING = "amplitude-damping"
+# Family ids: what the library takes and the CLI reads and prints
+AMPLITUDE_DAMPING = "ad"
 DEPHASING = "dephasing"
-DEPOLARIZING = "depolarizing"
+DEPOLARIZING = "dp"
 
 # The closed interval of each parameter, read by _check_range and the CLI:
 # memory degree, damping angle, error probability and input ensemble angle

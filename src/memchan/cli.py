@@ -15,9 +15,9 @@ threshold CHANNEL PARAM TOL
 inequality GRID_COUNT
     CSV comparing full-memory and no-memory I2 for product inputs over chi.
 
-Channel tags: ad (amplitude damping, param = chi), dephasing (param = p),
-dp (depolarizing, param = p).  Angles are radians.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 I/O error.
+CHANNEL is a family id of channels: ad (amplitude damping, param = chi),
+dephasing and dp (depolarizing), param = p.  Angles are radians.  main returns
+every exit code: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -37,21 +38,12 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-CHANNEL_TAGS = {
-    "ad": channels.AMPLITUDE_DAMPING,
-    "dephasing": channels.DEPHASING,
-    "dp": channels.DEPOLARIZING,
-}
-
 EQUIVALENCE_TIMES = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
 MIXTURE_CHECK_MU = 0.35  # interior memory degree of verify's one mixture per point
 SWEEP_HEADER = "channel,mu,param,theta,i2_numeric,i2_closed,delta"
-# Most grid points per command (a sweep's mu x param x theta, grid_count): per point
-# the I2 kernel keeps at most 2x16x16 branch transfer, 2x4x16 branch output and 5x16
-# slice buffer entries.  The outputs and the buffer are float64 (8 bytes) for the
-# three families, whose transfers are exactly real; at 16 bytes for every entry, the
-# complex worst case, 256 MiB holds 23301 points.
-MAX_GRID_POINTS = 2**28 // ((2 * 16 * 16 + 2 * 4 * 16 + 5 * 16) * 16)
+VALUE_TOKEN = re.compile("^-[^-]")
+# Most grid points per command (a sweep's mu x param x theta, grid_count): 23301
+MAX_GRID_POINTS = 2**28 // capacity.I2_BYTES_PER_POINT
 
 
 class UsageError(ValueError):
@@ -62,8 +54,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _param_domain(tag: str) -> tuple:
-    return channels.DOMAINS[channels.FAMILIES[CHANNEL_TAGS[tag]]]
+def _param_domain(family: str) -> tuple:
+    return channels.DOMAINS[channels.FAMILIES[family]]
 
 
 def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> list:
@@ -94,12 +86,13 @@ def parse_range_spec(text: str, name: str, lo_bound: float, hi_bound: float) -> 
 # sweep
 # ----------------------------------------------------------------------
 
-def compute_sweep(tag: str, mus: list, params: list, thetas: list) -> tuple:
+def compute_sweep(family: str, mus: list, params: list, thetas: list) -> tuple:
     """(numeric, closed): I2[mu, param, theta] on a grid, numeric and in closed
     form where the family has one (closed is None for dephasing)."""
-    numeric = capacity.i2_grid(CHANNEL_TAGS[tag], mus, params, thetas)
+    numeric = capacity.i2_grid(family, mus, params, thetas)
     # looked up at call time, so a wrapped or patched closed form is the one used
-    form = {"ad": capacity.i2_ad_closed, "dp": capacity.i2_depolarizing_closed}.get(tag)
+    form = {channels.AMPLITUDE_DAMPING: capacity.i2_ad_closed,
+            channels.DEPOLARIZING: capacity.i2_depolarizing_closed}.get(family)
     closed = None if form is None else np.reshape(
         [form(param, mu, theta)[0] for mu in mus for param in params for theta in thetas],
         numeric.shape,
@@ -107,7 +100,7 @@ def compute_sweep(tag: str, mus: list, params: list, thetas: list) -> tuple:
     return numeric, closed
 
 
-def sweep_csv(tag: str, mus: list, params: list, thetas: list, numeric, closed, out) -> None:
+def sweep_csv(family: str, mus: list, params: list, thetas: list, numeric, closed, out) -> None:
     """Write a sweep as CSV to a text handle, one row at a time; delta is
     |i2_numeric - i2_closed|, and both closed-form columns are empty without one.
     Each axis value is formatted once."""
@@ -117,7 +110,7 @@ def sweep_csv(tag: str, mus: list, params: list, thetas: list, numeric, closed, 
         tail = ","
         if closed is not None:
             tail = f"{_fmt(closed[i, j, k])},{_fmt(abs(value - closed[i, j, k]))}"
-        out.write(f"{tag},{mus[i]},{params[j]},{thetas[k]},{_fmt(value)},{tail}\n")
+        out.write(f"{family},{mus[i]},{params[j]},{thetas[k]},{_fmt(value)},{tail}\n")
 
 
 def cmd_sweep(args) -> int:
@@ -250,9 +243,9 @@ def check_closed_forms() -> CheckSection:
     mus = channels.grid(*channels.DOMAINS["mu"], 11)
     thetas = channels.grid(*channels.DOMAINS["theta"], 5)
     residuals = []
-    for tag in ("ad", "dp"):
-        params = channels.grid(*_param_domain(tag), 11)
-        numeric, closed = compute_sweep(tag, mus, params, thetas)
+    for family in (channels.AMPLITUDE_DAMPING, channels.DEPOLARIZING):
+        params = channels.grid(*_param_domain(family), 11)
+        numeric, closed = compute_sweep(family, mus, params, thetas)
         residuals.append(np.abs(numeric - closed).max())
     return CheckSection("closed_form_vs_numeric", _worst(residuals), 1e-9)
 
@@ -289,23 +282,16 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_threshold(args) -> int:
-    family = CHANNEL_TAGS[args.channel]
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise UsageError(f"tol must be positive and finite, got {args.tol!r}")
     try:
-        channels.ChannelParams.for_family(family, args.param)
+        channels.ChannelParams.for_family(args.channel, args.param)
     except ValueError as exc:
         raise UsageError(str(exc))
-    result = capacity.threshold_numeric(family, args.param, args.tol)
-    payload = {
-        "channel": args.channel,
-        "param": args.param,
-        "mu_t": result.mu_t,
-        "bracket": list(result.bracket),
-        "iterations": result.iterations,
-    }
-    if result.mu_t is None:
-        payload["reason"] = result.reason
+    result = capacity.threshold_numeric(args.channel, args.param, args.tol)
+    payload = {"channel": args.channel, "param": args.param, **asdict(result)}
+    if result.mu_t is not None:
+        del payload["reason"]
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -337,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of I2 over a parameter grid")
-    p_sweep.add_argument("channel", choices=sorted(CHANNEL_TAGS))
+    p_sweep.add_argument("channel", choices=sorted(channels.FAMILIES))
     p_sweep.add_argument("mu_spec", help="memory degree range lo:hi:count")
     p_sweep.add_argument("param_spec", help="chi (ad) or p range lo:hi:count")
     p_sweep.add_argument("theta_spec", help="input angle range lo:hi:count")
@@ -345,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_threshold = sub.add_parser("threshold", help="bisect the memory threshold mu_t")
-    p_threshold.add_argument("channel", choices=sorted(CHANNEL_TAGS))
+    p_threshold.add_argument("channel", choices=sorted(channels.FAMILIES))
     p_threshold.add_argument("param", type=float, help="chi (ad) or p")
     p_threshold.add_argument("tol", type=float, help="bisection bracket width")
     p_threshold.set_defaults(func=cmd_threshold)
@@ -355,16 +341,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_inequality.add_argument("grid_count", type=int, help="number of chi grid points")
     p_inequality.set_defaults(func=cmd_inequality)
+    # a token that starts with one "-" and is no option is a value (-1e-3, -inf) for
+    # memchan's checks to name; set after -h is added, so that -h stays an option
+    for command in sub.choices.values():
+        command._negative_number_matcher = VALUE_TOKEN
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed --help (0) or its usage error (2)
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

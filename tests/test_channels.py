@@ -146,7 +146,7 @@ def test_channel_params_validation():
     # a value in the field the family does not use would be ignored, so it is refused
     with pytest.raises(ValueError, match="family 'dephasing' takes no chi, got 0.3"):
         ChannelParams(which=DEPHASING, mu=0.5, chi=0.3)
-    with pytest.raises(ValueError, match="family 'amplitude-damping' takes no p, got 0.25"):
+    with pytest.raises(ValueError, match="family 'ad' takes no p, got 0.25"):
         ChannelParams(which=AMPLITUDE_DAMPING, chi=0.3, p=0.25)
     # for_family sets exactly the field channels.FAMILIES names, the other stays 0.0
     for family, name in channels.FAMILIES.items():

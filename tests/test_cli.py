@@ -294,9 +294,7 @@ def test_sweep_grid_ends_inside_domain(capsys, argv, column, edge):
 
 
 def test_sweep_rejects_unknown_channel():
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["sweep", "bogus", "0:1:2", "0:0:1", "0:0:1"])
-    assert excinfo.value.code == EXIT_USAGE
+    assert cli.main(["sweep", "bogus", "0:1:2", "0:0:1", "0:0:1"]) == EXIT_USAGE
 
 
 # ----------------------------------------------------------------------
@@ -394,9 +392,7 @@ def test_threshold_root_on_seed_grid(capsys, p):
 
 
 def test_threshold_rejects_bad_tag():
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["threshold", "bogus", "0.3", "1e-6"])
-    assert excinfo.value.code == EXIT_USAGE
+    assert cli.main(["threshold", "bogus", "0.3", "1e-6"]) == EXIT_USAGE
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +495,7 @@ def _check_answer(argv, out):
     in_domain = channels._check_range
     if command == "threshold":
         payload = json.loads(out)
-        in_domain(channels.FAMILIES[cli.CHANNEL_TAGS[tag]], payload["param"])
+        in_domain(channels.FAMILIES[tag], payload["param"])
         assert payload["mu_t"] is None or 0.0 <= payload["mu_t"] <= 1.0
         return
     header, *rows = out.splitlines()
@@ -516,7 +512,7 @@ def _check_answer(argv, out):
         row_tag, mu, param, theta, numeric, closed, delta = row.split(",")
         assert row_tag == tag
         in_domain("mu", float(mu))
-        in_domain(channels.FAMILIES[cli.CHANNEL_TAGS[tag]], float(param))
+        in_domain(channels.FAMILIES[tag], float(param))
         in_domain("theta", float(theta))
         assert 0.0 <= float(numeric) <= 2.0
         if tag != "dephasing":
@@ -550,6 +546,80 @@ def test_bad_input_corpus_answers_or_is_usage_error(capsys, monkeypatch, argv):
     else:
         assert code == EXIT_USAGE
         assert out == "" and err
+
+
+# ----------------------------------------------------------------------
+# entry point
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv,code,prefix",
+    [
+        ([], EXIT_USAGE, "memchan: error: "),
+        (["--help"], EXIT_OK, None),
+        (["sweep", "-h"], EXIT_OK, None),
+        (["sweep", "bogus", "0:1:2", "0:1:2", "0:0:1"], EXIT_USAGE, "memchan sweep: error: "),
+        (["threshold", "ad", "x", "1e-3"], EXIT_USAGE, "memchan threshold: error: "),
+        (["inequality"], EXIT_USAGE, "memchan inequality: error: "),
+    ],
+)
+def test_main_returns_every_exit_code(capsys, argv, code, prefix):
+    # argparse's own errors and --help leave as a return value, not SystemExit
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if prefix is not None:
+        assert out == ""
+        assert err.startswith("usage: memchan")
+        assert err.splitlines()[-1].startswith(prefix)
+
+
+def _channel_choices(command):
+    commands = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return next(a.choices for a in commands.choices[command]._actions if a.dest == "channel")
+
+
+@pytest.mark.parametrize("family", sorted(channels.FAMILIES))
+def test_cli_channel_is_the_library_family_id(capsys, monkeypatch, family):
+    assert sorted(channels.FAMILIES) == ["ad", "dephasing", "dp"]
+    assert _channel_choices("sweep") == _channel_choices("threshold") == sorted(channels.FAMILIES)
+    received = []
+    i2_grid, threshold_numeric = capacity.i2_grid, capacity.threshold_numeric
+
+    def recording_grid(family, *grid):
+        received.append(family)
+        return i2_grid(family, *grid)
+
+    def recording_threshold(family, *args):
+        received.append(family)
+        return threshold_numeric(family, *args)
+
+    monkeypatch.setattr(capacity, "i2_grid", recording_grid)
+    monkeypatch.setattr(capacity, "threshold_numeric", recording_threshold)
+    code, out, _ = run_cli(capsys, "sweep", family, "0:1:2", "0:0.5:2", "0:0:1")
+    assert code == EXIT_OK
+    assert {row.split(",")[0] for row in out.splitlines()[1:]} == {received[-1]} == {family}
+    code, out, _ = run_cli(capsys, "threshold", family, "0.5", "1e-3")
+    assert code == EXIT_OK
+    assert json.loads(out)["channel"] == received[-1] == family
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["threshold", "ad", "0.6", "-1e-3"], "tol must be positive and finite, got -0.001"),
+        (["threshold", "ad", "-inf", "1e-3"], "chi must lie in [0.0, 1.5707963267948966], got -inf"),
+        (
+            ["sweep", "ad", "-0.5:1:2", "0:1:2", "0:0:1"],
+            "mu_spec: range [-0.5, 1.0] lies outside [0.0, 1.0]",
+        ),
+    ],
+)
+def test_value_starting_with_minus_is_named(capsys, argv, message):
+    # argparse alone reads these tokens as unknown options and reports a
+    # missing argument; cli makes every subcommand read them as values
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"memchan {argv[0]}: error: {message}\n"
 
 
 # ----------------------------------------------------------------------
