@@ -314,9 +314,9 @@ def memory_branch_bound(which: str, param: float) -> tuple:
     convex, so over the whole interval it is largest at a branch:
     bound = max(||C_unc - I||_F, ||C_cor - I||_F).  A Kraus form is CP by
     construction, so completeness is the whole CPTP check, and a small bound
-    certifies every mixture without building one.  Returns
-    (bound, (unc, cor)) so that a caller which goes on to use the branches
-    builds them once.  A NaN residual at either branch makes the bound NaN.
+    certifies every mixture without building one.  Returns (bound, (unc, cor));
+    both callers, I2Kernel and verify's CPTP section, reuse the branches.  A
+    NaN residual at either branch makes the bound NaN.
     """
     branches = memory_branches(which, param)
     return float(np.max([check_cptp(branch) for branch in branches])), branches

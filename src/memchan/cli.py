@@ -39,7 +39,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 EQUIVALENCE_TIMES = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
-MIXTURE_CHECK_MU = 0.35  # interior memory degree of verify's one mixture per point
+MIXTURE_CHECK_MU = 0.35  # interior memory degree of verify's one mixture per node
+LEBESGUE_3 = 1.25  # Lebesgue constant of the nodes 0, 1/2, 1 on [0, 1]
 SWEEP_HEADER = "channel,mu,param,theta,i2_numeric,i2_closed,delta"
 VALUE_TOKEN = re.compile("^-[^-]")
 # Most grid points per command (a sweep's mu x param x theta, grid_count): 23301
@@ -155,26 +156,23 @@ def _worst(residuals: list) -> float:
 
 
 def check_cptp_constructors() -> CheckSection:
-    """Completeness residuals on a 21-point parameter grid.  A Kraus form is
-    CP by construction, so completeness is the whole CPTP check.
-
-    Per grid point: the single-qubit damping set; for each memory family the
-    branch bound (channels.memory_branch_bound), which covers every memory
-    degree mu in [0, 1] at once; and one mixture at MIXTURE_CHECK_MU built by
-    build_memory_channel, so that a wrong mixing rule fails the section too.
+    """Completeness, a Kraus form's whole CPTP check, at every parameter from
+    three nodes: each residual sum_k K*K - I has degree <= 2 in u = cos^2 chi
+    (damping) or p (Pauli families), so LEBESGUE_3 times its worst norm at
+    u, p = 0, 1/2, 1 bounds it on [0, 1].  Per node: the damping set, each
+    family's branch bound (all mu in [0, 1]) and one mixture of its branches
+    at MIXTURE_CHECK_MU, which a wrong mixing rule fails.
     """
-    grids = {name: channels.grid(*domain, 21) for name, domain in channels.DOMAINS.items()}
-    residuals = []
-    for i, chi in enumerate(grids["chi"]):
-        residuals.append(channels.check_cptp(channels.amplitude_damping_kraus(chi)))
-        for family, name in channels.FAMILIES.items():
-            param = grids[name][i]
-            bound, _ = channels.memory_branch_bound(family, param)
-            mixture = channels.build_memory_channel(
-                channels.ChannelParams.for_family(family, param, MIXTURE_CHECK_MU)
-            )
+    residuals = [
+        channels.check_cptp(channels.amplitude_damping_kraus(chi))
+        for chi in channels.grid(*channels.DOMAINS["chi"], 3)
+    ]
+    for family, name in channels.FAMILIES.items():
+        for param in channels.grid(*channels.DOMAINS[name], 3):
+            bound, branches = channels.memory_branch_bound(family, param)
+            mixture = channels.memory_channel(*branches, MIXTURE_CHECK_MU)
             residuals += [bound, channels.check_cptp(mixture)]
-    return CheckSection("cptp_constructors", _worst(residuals), 1e-12)
+    return CheckSection("cptp_constructors", LEBESGUE_3 * _worst(residuals), 1e-12)
 
 
 def check_eigenoperators() -> CheckSection:

@@ -96,6 +96,34 @@ def test_theta_states_are_orthonormal():
             assert abs(overlap - want) <= 1e-14
 
 
+# the X pattern of a two-qubit matrix: the diagonal, |00><11|, |01><10| and their conjugates
+X_PATTERN = np.eye(4, dtype=bool) | np.fliplr(np.eye(4, dtype=bool))
+
+
+def test_theta_ensemble_states_are_x_states():
+    """Every input is an X-state (Yu & Eberly, Quantum Inf. Comput. 7, 459
+    (2007)): its entries outside X_PATTERN are exactly 0.0."""
+    for theta in channels.grid(*channels.DOMAINS["theta"], 21):
+        for state in theta_ensemble(theta).states:
+            assert (state.mat[~X_PATTERN] == 0.0).all(), theta
+
+
+def test_branch_transfers_map_x_states_to_x_states():
+    """Every branch transfer sends an X-state (Yu & Eberly, Quantum Inf.
+    Comput. 7, 459 (2007)) to an X-state exactly: T[off-X, X] is 0.0 for
+    both branches of every family on its 21-point DOMAINS grid."""
+    x = X_PATTERN.reshape(-1)  # row-major vec(rho), the transfer's basis
+    transfers = [
+        branch.transfer
+        for family, name in channels.FAMILIES.items()
+        for param in channels.grid(*channels.DOMAINS[name], 21)
+        for branch in channels.memory_branches(family, param)
+    ]
+    assert len(transfers) == 126
+    for transfer in transfers:
+        assert (transfer[np.ix_(~x, x)] == 0.0).all()
+
+
 def test_theta_range_error():
     with pytest.raises(ValueError):
         theta_ensemble(-0.1)
@@ -675,6 +703,14 @@ def test_threshold_numeric_depolarizing_matches_closed():
     assert result.mu_t is not None
     assert abs(result.mu_t - 1.0 / 3.0) <= 1e-6
     assert result.iterations > 0
+
+
+@pytest.mark.parametrize("p", [0.76, 0.8, 0.9, 1.0])
+def test_threshold_numeric_depolarizing_past_three_quarters(p):
+    # eta = 1 - 4p/3 < 0 here, and the threshold is the closed form at |eta|
+    eta = 1.0 - 4.0 * p / 3.0
+    result = threshold_numeric(DEPOLARIZING, p, 1e-12)
+    assert abs(result.mu_t - depolarizing_threshold_closed(abs(eta))) <= 1e-9
 
 
 def test_threshold_numeric_ad_interval_and_anchor():

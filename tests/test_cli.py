@@ -535,10 +535,7 @@ def test_bad_input_corpus_answers_or_is_usage_error(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(capacity, "i2_grid", small_grid)
     monkeypatch.setattr(capacity, "product_memory_inequality", small_inequality)
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse refuses a token it cannot convert
-        code = exc.code
+    code = cli.main(argv)  # a SystemExit escaping cli.main fails the case
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     if code == EXIT_OK:
@@ -680,17 +677,71 @@ def test_verify_detects_wrong_mixing_weights(capsys, monkeypatch):
 
 
 def test_cptp_section_builds_one_mixture_per_grid_point(monkeypatch):
-    # the branch bound covers every mu, so no mu grid of mixtures is built
-    built = []
-    original = channels.build_memory_channel
+    # the branch bound covers every mu, so no mu grid of mixtures is built, and
+    # the one mixture per node and family reuses the bound's branches
+    built, branched = [], []
+    mix, branches = channels.memory_channel, channels.memory_branches
 
-    def counting(params):
-        built.append(params.mu)
-        return original(params)
+    def counting(unc, cor, mu):
+        built.append(mu)
+        return mix(unc, cor, mu)
 
-    monkeypatch.setattr(channels, "build_memory_channel", counting)
+    def counting_branches(family, param):
+        branched.append(family)
+        return branches(family, param)
+
+    monkeypatch.setattr(channels, "memory_channel", counting)
+    monkeypatch.setattr(channels, "memory_branches", counting_branches)
     assert cli.check_cptp_constructors().passed
-    assert built == [cli.MIXTURE_CHECK_MU] * (21 * 3)
+    assert built == [cli.MIXTURE_CHECK_MU] * (3 * 3)
+    assert sorted(branched) == sorted(list(channels.FAMILIES) * 3)
+
+
+CERTIFICATE_NODES = (0.0, 0.5, 1.0)
+
+
+def _lagrange_basis(x):
+    """The Lagrange basis l_k(x) of CERTIFICATE_NODES, for a number or an array x."""
+    return [
+        np.prod([(x - m) / (n - m) for m in CERTIFICATE_NODES if m != n], axis=0)
+        for n in CERTIFICATE_NODES
+    ]
+
+
+def _cptp_section_sets(x):
+    """Every Kraus set that verify's CPTP section checks, at u = cos^2 chi = x
+    for damping and at p = x for the Pauli families."""
+    chi = math.acos(math.sqrt(x))
+    sets = {"damping": channels.amplitude_damping_kraus(chi)}
+    for family, name in channels.FAMILIES.items():
+        unc, cor = channels.memory_branches(family, chi if name == "chi" else x)
+        mixture = channels.memory_channel(unc, cor, cli.MIXTURE_CHECK_MU)
+        sets.update({f"{family}-unc": unc, f"{family}-cor": cor, f"{family}-mixture": mixture})
+    return sets
+
+
+def _residual_matrix(kraus):
+    return np.einsum("kji,kjl->il", kraus.ops.conj(), kraus.ops) - np.eye(kraus.dim)
+
+
+@pytest.mark.parametrize("x", [0.25, 0.75])
+def test_cptp_residuals_equal_their_three_node_interpolant(x):
+    # the CPTP section's certificate is exact only given this degree: every
+    # residual matrix is a polynomial of degree <= 2 in u or p, so it equals its
+    # interpolant through the three nodes at any other point
+    at_nodes = [_cptp_section_sets(node) for node in CERTIFICATE_NODES]
+    for name, kraus in _cptp_section_sets(x).items():
+        interpolant = sum(
+            weight * _residual_matrix(sets[name])
+            for weight, sets in zip(_lagrange_basis(x), at_nodes)
+        )
+        assert np.abs(_residual_matrix(kraus) - interpolant).max() <= 1e-14, name
+
+
+def test_lebesgue_constant_of_the_certificate_nodes():
+    x = np.linspace(0.0, 1.0, 10001)
+    lebesgue = np.sum(np.abs(_lagrange_basis(x)), axis=0).max()
+    assert abs(lebesgue - cli.LEBESGUE_3) <= 1e-9
 
 
 @pytest.mark.parametrize(
