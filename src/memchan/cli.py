@@ -39,6 +39,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 EQUIVALENCE_TIMES = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
+EQUIVALENCE_LEBESGUE = 1.8  # >= 1.7956 and 1.5570, c's and e's on [0, 1] at t = 0, 1, 5
 MIXTURE_CHECK_MU = 0.35  # interior memory degree of verify's one mixture per node
 LEBESGUE_3 = 1.25  # Lebesgue constant of the nodes 0, 1/2, 1 on [0, 1]
 SWEEP_HEADER = "channel,mu,param,theta,i2_numeric,i2_closed,delta"
@@ -175,56 +176,54 @@ def check_cptp_constructors() -> CheckSection:
     return CheckSection("cptp_constructors", LEBESGUE_3 * _worst(residuals), 1e-12)
 
 
+def _correlated_pairs(rate: float) -> tuple:
+    """Correlated dephasing's and damping's (spec, catalog), built at call time."""
+    return (
+        (lindblad.dephasing_correlated_spec(rate), lindblad.catalog_dephasing_correlated(rate)),
+        (lindblad.ad_correlated_spec(rate), lindblad.catalog_ad_correlated(rate)),
+    )
+
+
 def check_eigenoperators() -> CheckSection:
     """||L(R_i) - lambda_i R_i|| for both catalogs at two rates."""
     residuals = []
     for rate in (1.0, 0.7):
-        residuals += lindblad.verify_eigen(
-            lindblad.dephasing_correlated_spec(rate),
-            lindblad.catalog_dephasing_correlated(rate),
-        )
-        residuals += lindblad.verify_eigen(
-            lindblad.ad_correlated_spec(rate),
-            lindblad.catalog_ad_correlated(rate),
-        )
+        for spec, cat in _correlated_pairs(rate):
+            residuals += lindblad.verify_eigen(spec, cat)
     return CheckSection("lindblad_eigenoperators", _worst(residuals), 1e-12)
 
 
 def check_duality() -> CheckSection:
     """Max |tr(L_i R_j) - delta_ij| of both catalogs' left duals, at two rates."""
-    residuals = [
-        lindblad.duality_residual(cat)
-        for rate in (1.0, 0.7)
-        for cat in (
-            lindblad.catalog_dephasing_correlated(rate),
-            lindblad.catalog_ad_correlated(rate),
-        )
-    ]
+    residuals = []
+    for rate in (1.0, 0.7):
+        residuals += [lindblad.duality_residual(cat) for _, cat in _correlated_pairs(rate)]
     return CheckSection("duality", _worst(residuals), 1e-10)
 
 
 def check_kraus_lindblad() -> CheckSection:
-    """Exact transfer-matrix gap between spectral evolution and the
-    correlated Kraus channels, which bounds the gap for every input state."""
-    dephasing_cat = lindblad.catalog_dephasing_correlated(1.0)
-    damping_cat = lindblad.catalog_ad_correlated(1.0)
+    """Exact transfer-matrix gap between spectral evolution and the correlated Kraus
+    channels, for every input state, t >= 0 and rate: each transfer has degree <= 2 in
+    c = exp(-alpha t / 2) or e = exp(-Gamma t), and only rate x time enters, so
+    EQUIVALENCE_LEBESGUE times the worst gap at EQUIVALENCE_TIMES bounds it."""
+    pairs = _correlated_pairs(1.0)
     residuals = []
     for t in EQUIVALENCE_TIMES:
         p, chi = lindblad.dephasing_flip_probability(1.0, t), lindblad.damping_angle(1.0, t)
+        krauses = (channels.dephasing_correlated_kraus(p), channels.ad_correlated_kraus2(chi))
         residuals += [
-            lindblad.kraus_equivalence(
-                lindblad.spectral_matrix(dephasing_cat, t), channels.dephasing_correlated_kraus(p)
-            ),
-            lindblad.kraus_equivalence(
-                lindblad.spectral_matrix(damping_cat, t), channels.ad_correlated_kraus2(chi)
-            ),
+            lindblad.kraus_equivalence(lindblad.spectral_matrix(cat, t), kraus)
+            for (_, cat), kraus in zip(pairs, krauses)
         ]
-    return CheckSection("kraus_lindblad_equivalence", _worst(residuals), 1e-10)
+    return CheckSection(
+        "kraus_lindblad_equivalence", EQUIVALENCE_LEBESGUE * _worst(residuals), 1e-10
+    )
 
 
 def check_uncorrelated_dephasing() -> CheckSection:
     """Exact transfer-matrix gap between the exponentiated two-jump generator
-    (lindblad.exponential_matrix) and the uncorrelated dephasing Kraus set."""
+    (lindblad.exponential_matrix) and the uncorrelated dephasing Kraus set, certified
+    like check_kraus_lindblad: both have degree <= 2 in e, and only rate x time enters."""
     spec = lindblad.dephasing_uncorrelated_spec(1.0)
     residuals = [
         lindblad.kraus_equivalence(
@@ -233,7 +232,9 @@ def check_uncorrelated_dephasing() -> CheckSection:
         )
         for t in EQUIVALENCE_TIMES
     ]
-    return CheckSection("uncorrelated_dephasing_generator", _worst(residuals), 1e-10)
+    return CheckSection(
+        "uncorrelated_dephasing_generator", EQUIVALENCE_LEBESGUE * _worst(residuals), 1e-10
+    )
 
 
 def check_closed_forms() -> CheckSection:
@@ -263,9 +264,9 @@ def cmd_verify(args) -> int:
     for fn in VERIFY_CHECKS:
         try:
             sections.append(fn())
-        except Exception as exc:  # report the failing check by name
+        except Exception as exc:  # a failed entry, named on stderr; the others still run
             print(f"verification check {fn.__name__} failed to run: {exc}", file=sys.stderr)
-            return EXIT_VERIFY_FAIL
+            sections.append(CheckSection(fn.__name__, math.nan, math.nan))
     overall = all(section.passed for section in sections)
     report = {
         "sections": [{**asdict(section), "pass": section.passed} for section in sections],

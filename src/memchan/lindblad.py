@@ -237,16 +237,15 @@ def spectral_matrix(cat: EigenoperatorCatalog, t: float) -> np.ndarray:
 
 
 def exponential_matrix(spec: LindbladSpec, t: float) -> np.ndarray:
-    """exp(t S) for the generator matrix S, spectral_matrix's twin: V exp(t
-    Lambda) V^-1 from S V = V Lambda, exactly the exponential of S + dS with
-    dS = V Lambda V^-1 - S.  A defective S fails closed: solve_linear refuses
-    a singular V (ValueError), and ||dS||_F > DUALITY_TOL ||S||_F raises ArithmeticError."""
+    """exp(t S) for the generator matrix S, spectral_matrix's twin: V exp(t Lambda) V^-1 from
+    S V = V Lambda, exactly the exponential of S + dS with dS = V Lambda V^-1 - S.  A diagonal
+    S needs no solve.  A defective S fails closed: solve_linear refuses a singular V
+    (ValueError), and ||dS||_F > DUALITY_TOL ||S||_F raises ArithmeticError."""
     _check_nonnegative(time=t)
     s = superoperator_matrix(spec)
     if np.array_equal(s, np.diag(np.diag(s))):  # eig's own answer, without paging in its
-        lam, v = np.diag(s), np.eye(16, dtype=complex)  # ~0.3 MB of LAPACK code
-    else:
-        lam, v = np.linalg.eig(s)
+        return np.diag(np.exp(t * np.diag(s)))  # ~0.3 MB of LAPACK code
+    lam, v = np.linalg.eig(s)
     v_inv = linalg.solve_linear(v, np.eye(16))
     gap = float(np.linalg.norm(v * lam @ v_inv - s))
     if not gap <= DUALITY_TOL * float(np.linalg.norm(s)):

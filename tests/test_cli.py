@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import memchan
-from memchan import capacity, channels, cli, lindblad
+from memchan import capacity, channels, cli, linalg, lindblad
 from memchan.capacity import depolarizing_threshold_closed
 from memchan.cli import (
     EXIT_IO,
@@ -700,12 +700,9 @@ def test_cptp_section_builds_one_mixture_per_grid_point(monkeypatch):
 CERTIFICATE_NODES = (0.0, 0.5, 1.0)
 
 
-def _lagrange_basis(x):
-    """The Lagrange basis l_k(x) of CERTIFICATE_NODES, for a number or an array x."""
-    return [
-        np.prod([(x - m) / (n - m) for m in CERTIFICATE_NODES if m != n], axis=0)
-        for n in CERTIFICATE_NODES
-    ]
+def _lagrange_basis(x, nodes=CERTIFICATE_NODES):
+    """The Lagrange basis l_k(x) of nodes, for a number or an array x."""
+    return [np.prod([(x - m) / (n - m) for m in nodes if m != n], axis=0) for n in nodes]
 
 
 def _cptp_section_sets(x):
@@ -742,6 +739,61 @@ def test_lebesgue_constant_of_the_certificate_nodes():
     x = np.linspace(0.0, 1.0, 10001)
     lebesgue = np.sum(np.abs(_lagrange_basis(x)), axis=0).max()
     assert abs(lebesgue - cli.LEBESGUE_3) <= 1e-9
+
+
+EQUIVALENCE_NODES = (0.0, 1.0, 5.0)  # the times the Kraus/Lindblad certificate interpolates
+
+
+def _equivalence_transfers(t):
+    """Each transfer the two Kraus/Lindblad sections compare, at rate 1 and
+    time t, with its variable: c = exp(-t/2) for damping, e = exp(-t) for dephasing."""
+    c, e = math.exp(-t / 2), math.exp(-t)
+    p, chi = lindblad.dephasing_flip_probability(1.0, t), lindblad.damping_angle(1.0, t)
+    unc_spec = lindblad.dephasing_uncorrelated_spec(1.0)
+    return {
+        "damping-spectral": (c, lindblad.spectral_matrix(lindblad.catalog_ad_correlated(1.0), t)),
+        "damping-kraus": (c, channels.ad_correlated_kraus2(chi).transfer),
+        "dephasing-spectral": (
+            e, lindblad.spectral_matrix(lindblad.catalog_dephasing_correlated(1.0), t)
+        ),
+        "dephasing-kraus": (e, channels.dephasing_correlated_kraus(p).transfer),
+        "uncorrelated-exponential": (e, lindblad.exponential_matrix(unc_spec, t)),
+        "uncorrelated-kraus": (e, channels.dephasing_uncorrelated_kraus(p).transfer),
+    }
+
+
+@pytest.mark.parametrize("t", [0.25, 3.0, 12.0])
+def test_equivalence_transfers_equal_their_three_time_interpolant(t):
+    # the Kraus/Lindblad certificate is exact only given this degree: every
+    # transfer is a polynomial of degree <= 2 in c or e, so it equals its
+    # interpolant through t = 0, 1, 5 at any other time
+    assert set(EQUIVALENCE_NODES) <= set(cli.EQUIVALENCE_TIMES)
+    at_nodes = [_equivalence_transfers(node) for node in EQUIVALENCE_NODES]
+    for name, (x, transfer) in _equivalence_transfers(t).items():
+        basis = _lagrange_basis(x, [transfers[name][0] for transfers in at_nodes])
+        interpolant = sum(weight * transfers[name][1] for weight, transfers in zip(basis, at_nodes))
+        assert np.abs(transfer - interpolant).max() <= 1e-14, name
+
+
+@pytest.mark.parametrize("exponent, constant", [(0.5, 1.7956), (1.0, 1.5570)], ids=["c", "e"])
+def test_lebesgue_constant_of_the_equivalence_times(exponent, constant):
+    # c = exp(-t/2) and e = exp(-t) at t = 0, 1, 5, on all of [0, 1]: every t >= 0
+    x = np.linspace(0.0, 1.0, 10001)
+    nodes = [math.exp(-exponent * t) for t in EQUIVALENCE_NODES]
+    lebesgue = np.sum(np.abs(_lagrange_basis(x, nodes)), axis=0).max()
+    assert abs(lebesgue - constant) <= 1e-4
+    assert lebesgue <= cli.EQUIVALENCE_LEBESGUE
+
+
+def test_verify_solves_only_for_dual_bases(capsys, monkeypatch):
+    # the ten catalogs' duals are verify's only linear solves: the diagonal
+    # dephasing generator's exponential takes none
+    solves = []
+    solve_linear = linalg.solve_linear
+    monkeypatch.setattr(linalg, "solve_linear", lambda *a: solves.append(1) or solve_linear(*a))
+    code, _, _ = run_cli(capsys, "verify")
+    assert code == EXIT_OK
+    assert len(solves) == 10
 
 
 @pytest.mark.parametrize(
@@ -897,5 +949,19 @@ def test_nan_kraus_operator_fails_verify(capsys, monkeypatch):
         channels.memory_branch_bound(channels.AMPLITUDE_DAMPING, 0.5)
     code, out, err = run_cli(capsys, "verify")
     assert code == EXIT_VERIFY_FAIL
-    assert out == ""
-    assert "check_cptp_constructors failed to run" in err
+    # every check runs: the three that raise are failed entries with NaN
+    # residuals, named on stderr, and the other three pass
+    report = json.loads(out)
+    assert [(s["name"], s["pass"]) for s in report["sections"]] == [
+        ("check_cptp_constructors", False),
+        ("lindblad_eigenoperators", True),
+        ("duality", True),
+        ("check_kraus_lindblad", False),
+        ("uncorrelated_dephasing_generator", True),
+        ("check_closed_forms", False),
+    ]
+    for section in report["sections"]:
+        if not section["pass"]:
+            assert math.isnan(section["max_residual"]) and math.isnan(section["threshold"])
+            assert f"{section['name']} failed to run" in err
+    assert report["overall"] is False

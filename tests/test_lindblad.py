@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from memchan import lindblad
+from memchan import linalg, lindblad
 from memchan.capacity import InputEnsemble, theta_ensemble
 from memchan.channels import (
     KrausSet,
@@ -656,6 +656,14 @@ def test_exponential_matrix_of_a_diagonal_generator_is_eigs_own(monkeypatch):
         s = superoperator_matrix(spec)
         for t in EQUIV_TIMES:
             assert np.array_equal(exponential_matrix(spec, t), np.diag(np.exp(t * np.diag(s))))
+
+
+def test_exponential_matrix_of_a_diagonal_generator_solves_nothing(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("eig called"))
+    monkeypatch.setattr(linalg, "solve_linear", lambda a, b: pytest.fail("solve_linear called"))
+    for spec in (dephasing_correlated_spec(0.9), dephasing_uncorrelated_spec(0.6)):
+        for t in EQUIV_TIMES:
+            exponential_matrix(spec, t)
 
 
 def test_exponential_matrix_refuses_a_defective_generator():
