@@ -1,6 +1,25 @@
 """Correlated two-use qubit channels: Kraus and Lindblad descriptions,
 cross-validation between the two, and classical-information analysis."""
 
+import os
+import sys
+
+# Every matrix memchan hands to BLAS or LAPACK is at most 16 x 16: eigvalsh on
+# stacks of 4 x 4, inv, eig and @ on 16 x 16 transfer matrices, and norms.
+# OpenBLAS splits no call that small across threads, so a pool would only spin
+# idle through start-up.  numpy's OpenBLAS therefore loads single-threaded,
+# unless numpy is loaded already or a count is set in one of the variables
+# OpenBLAS reads.  The environment is restored, so that no child process or
+# later library inherits the value.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .capacity import (
     ClosedFormTerms,
     I2Kernel,

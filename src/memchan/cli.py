@@ -23,6 +23,7 @@ every exit code: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -150,13 +151,26 @@ class CheckSection:
         return self.max_residual <= self.threshold  # False for a NaN residual
 
 
+def _section(name: str, threshold: float):
+    """Turn a function returning a worst residual into the verify check that returns
+    CheckSection(name, residual, threshold); cmd_verify names a raising one by `.section`."""
+    def decorate(worst):
+        @functools.wraps(worst)
+        def check() -> CheckSection:
+            return CheckSection(name, worst(), threshold)
+        check.section = name
+        return check
+    return decorate
+
+
 def _worst(residuals: list) -> float:
     """The largest residual, NaN when any is NaN; Python's max() would keep
     an earlier value against a later NaN and so hide a broken check."""
     return float(np.max(residuals))
 
 
-def check_cptp_constructors() -> CheckSection:
+@_section("cptp_constructors", 1e-12)
+def check_cptp_constructors():
     """Completeness, a Kraus form's whole CPTP check, at every parameter from
     three nodes: each residual sum_k K*K - I has degree <= 2 in u = cos^2 chi
     (damping) or p (Pauli families), so LEBESGUE_3 times its worst norm at
@@ -173,7 +187,7 @@ def check_cptp_constructors() -> CheckSection:
             bound, branches = channels.memory_branch_bound(family, param)
             mixture = channels.memory_channel(*branches, MIXTURE_CHECK_MU)
             residuals += [bound, channels.check_cptp(mixture)]
-    return CheckSection("cptp_constructors", LEBESGUE_3 * _worst(residuals), 1e-12)
+    return LEBESGUE_3 * _worst(residuals)
 
 
 def _correlated_pairs(rate: float) -> tuple:
@@ -184,24 +198,27 @@ def _correlated_pairs(rate: float) -> tuple:
     )
 
 
-def check_eigenoperators() -> CheckSection:
+@_section("lindblad_eigenoperators", 1e-12)
+def check_eigenoperators():
     """||L(R_i) - lambda_i R_i|| for both catalogs at two rates."""
     residuals = []
     for rate in (1.0, 0.7):
         for spec, cat in _correlated_pairs(rate):
             residuals += lindblad.verify_eigen(spec, cat)
-    return CheckSection("lindblad_eigenoperators", _worst(residuals), 1e-12)
+    return _worst(residuals)
 
 
-def check_duality() -> CheckSection:
+@_section("duality", 1e-10)
+def check_duality():
     """Max |tr(L_i R_j) - delta_ij| of both catalogs' left duals, at two rates."""
     residuals = []
     for rate in (1.0, 0.7):
         residuals += [lindblad.duality_residual(cat) for _, cat in _correlated_pairs(rate)]
-    return CheckSection("duality", _worst(residuals), 1e-10)
+    return _worst(residuals)
 
 
-def check_kraus_lindblad() -> CheckSection:
+@_section("kraus_lindblad_equivalence", 1e-10)
+def check_kraus_lindblad():
     """Exact transfer-matrix gap between spectral evolution and the correlated Kraus
     channels, for every input state, t >= 0 and rate: each transfer has degree <= 2 in
     c = exp(-alpha t / 2) or e = exp(-Gamma t), and only rate x time enters, so
@@ -215,12 +232,11 @@ def check_kraus_lindblad() -> CheckSection:
             lindblad.kraus_equivalence(lindblad.spectral_matrix(cat, t), kraus)
             for (_, cat), kraus in zip(pairs, krauses)
         ]
-    return CheckSection(
-        "kraus_lindblad_equivalence", EQUIVALENCE_LEBESGUE * _worst(residuals), 1e-10
-    )
+    return EQUIVALENCE_LEBESGUE * _worst(residuals)
 
 
-def check_uncorrelated_dephasing() -> CheckSection:
+@_section("uncorrelated_dephasing_generator", 1e-10)
+def check_uncorrelated_dephasing():
     """Exact transfer-matrix gap between the exponentiated two-jump generator
     (lindblad.exponential_matrix) and the uncorrelated dephasing Kraus set, certified
     like check_kraus_lindblad: both have degree <= 2 in e, and only rate x time enters."""
@@ -232,12 +248,11 @@ def check_uncorrelated_dephasing() -> CheckSection:
         )
         for t in EQUIVALENCE_TIMES
     ]
-    return CheckSection(
-        "uncorrelated_dephasing_generator", EQUIVALENCE_LEBESGUE * _worst(residuals), 1e-10
-    )
+    return EQUIVALENCE_LEBESGUE * _worst(residuals)
 
 
-def check_closed_forms() -> CheckSection:
+@_section("closed_form_vs_numeric", 1e-9)
+def check_closed_forms():
     """Closed-form I2 vs the numeric pipeline on 11 x 11 x 5 grids."""
     mus = channels.grid(*channels.DOMAINS["mu"], 11)
     thetas = channels.grid(*channels.DOMAINS["theta"], 5)
@@ -246,7 +261,7 @@ def check_closed_forms() -> CheckSection:
         params = channels.grid(*_param_domain(family), 11)
         numeric, closed = compute_sweep(family, mus, params, thetas)
         residuals.append(np.abs(numeric - closed).max())
-    return CheckSection("closed_form_vs_numeric", _worst(residuals), 1e-9)
+    return _worst(residuals)
 
 
 VERIFY_CHECKS = (
@@ -265,8 +280,8 @@ def cmd_verify(args) -> int:
         try:
             sections.append(fn())
         except Exception as exc:  # a failed entry, named on stderr; the others still run
-            print(f"verification check {fn.__name__} failed to run: {exc}", file=sys.stderr)
-            sections.append(CheckSection(fn.__name__, math.nan, math.nan))
+            print(f"verification check {fn.section} failed to run: {exc}", file=sys.stderr)
+            sections.append(CheckSection(fn.section, math.nan, math.nan))
     overall = all(section.passed for section in sections)
     report = {
         "sections": [{**asdict(section), "pass": section.passed} for section in sections],

@@ -953,12 +953,12 @@ def test_nan_kraus_operator_fails_verify(capsys, monkeypatch):
     # residuals, named on stderr, and the other three pass
     report = json.loads(out)
     assert [(s["name"], s["pass"]) for s in report["sections"]] == [
-        ("check_cptp_constructors", False),
+        ("cptp_constructors", False),
         ("lindblad_eigenoperators", True),
         ("duality", True),
-        ("check_kraus_lindblad", False),
+        ("kraus_lindblad_equivalence", False),
         ("uncorrelated_dephasing_generator", True),
-        ("check_closed_forms", False),
+        ("closed_form_vs_numeric", False),
     ]
     for section in report["sections"]:
         if not section["pass"]:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import memchan
 from memchan.linalg import SIGMA_X, SIGMA_Y, hermitian_eigen, real_if_exact, solve_linear
 
 
@@ -145,3 +151,45 @@ def test_solve_singular_reports_pivot():
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         solve_linear(np.eye(2, dtype=complex), np.ones(3))
+
+
+# ----------------------------------------------------------------------
+# BLAS start-up
+# ----------------------------------------------------------------------
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+STARTUP_PROBE = (
+    "import importlib, os, sys\n"
+    "for name in sys.argv[1:]:\n"
+    "    importlib.import_module(name)\n"
+    "with open('/proc/self/status') as status:\n"
+    "    threads = next(line.split()[1] for line in status if line.startswith('Threads:'))\n"
+    "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+def _startup(extra_env: dict, *modules) -> list:
+    """[thread count, OPENBLAS_NUM_THREADS or 'None'] of a fresh interpreter
+    after importing `modules` in order, started without any of BLAS_THREAD_VARS
+    but those in extra_env."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(extra_env, PYTHONPATH=str(Path(memchan.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *modules], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or "openblas" not in str(np.show_config(mode="dicts")).lower(),
+    reason="reads /proc/self/status and OpenBLAS's thread variables",
+)
+def test_import_loads_openblas_single_threaded_unless_told_otherwise():
+    # memchan's matrices are too small for OpenBLAS to split, so importing it
+    # starts no BLAS thread and leaves no variable behind for child processes
+    assert _startup({}, "memchan") == ["1", "None"]
+    # a count the user chose wins, and stays set
+    chosen = {"OPENBLAS_NUM_THREADS": "2"}
+    assert _startup(chosen, "memchan") == _startup(chosen, "numpy")
+    # numpy loaded first has read the environment already: memchan sets nothing
+    assert _startup({}, "numpy", "memchan") == _startup({}, "numpy")
