@@ -333,28 +333,18 @@ class ThresholdResult:
     reason: str | None = None
 
 
-def _null_reason(raw: list, gaps: list) -> str:
-    """Why seed gaps without a sign-change bracket hold no threshold: "edge"
-    when the gap is inside the noise floor at mu = 0 and has one sign at
-    every other seed, "below_noise_floor" when the raw gaps change sign only
-    next to a seed whose gap is inside the floor, and "none" when they never
-    change sign."""
-    if gaps[0] == 0.0 and (min(gaps[1:]) > 0.0 or max(gaps[1:]) < 0.0):
-        return "edge"
-    return "below_noise_floor" if min(raw) < 0.0 < max(raw) else "none"
-
-
 def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
     """Bisection on g(mu) = I2(Bell) - I2(product) over mu in [0, 1].
 
-    Seeds 17 equally spaced points; the first sign-change bracket is refined
+    Seeds 17 equally spaced points.  A seed is signed when its gap is beyond
+    the noise floor; the bracket is the first pair of consecutive signed
+    seeds of opposite sign at most two steps apart, so at most one unsigned
+    seed (a root on the grid) lies between them.  The bracket is refined
     until its width drops to tol, or until its ends are adjacent doubles and
-    no midpoint lies strictly between them.  A seed whose gap is inside the
-    noise floor has no sign, so when its neighbours disagree in sign it is a
-    root on the grid and they form the bracket; a midpoint with an exactly
-    zero gap ends the bisection there.  Returns mu_t = None when no sign
-    change exists on the seed grid, with a reason: "edge",
-    "below_noise_floor" or "none" (_null_reason).
+    no midpoint lies strictly between them; a midpoint with an exactly zero
+    gap ends the bisection there.  Without a bracket mu_t is None, with a
+    reason: "edge" when every seed but mu = 0 is signed (all of one sign),
+    else "below_noise_floor" when the raw gaps change sign, else "none".
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -366,22 +356,19 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
 
     seeds = grid(*DOMAINS["mu"], THRESHOLD_SEEDS)
     raw = [gap(mu) for mu in seeds]
-    # values at the numerical-noise level carry no sign information
-    gaps = [g if abs(g) > THRESHOLD_NOISE_FLOOR else 0.0 for g in raw]
-    bracket = None
-    for i in range(1, THRESHOLD_SEEDS):
-        if gaps[i - 1] * gaps[i] < 0.0:
-            bracket = (i - 1, i)
-        elif gaps[i] == 0.0 and i + 1 < THRESHOLD_SEEDS and gaps[i - 1] * gaps[i + 1] < 0.0:
-            bracket = (i - 1, i + 1)
-        if bracket is not None:
-            break
+    signed = [i for i, g in enumerate(raw) if abs(g) > THRESHOLD_NOISE_FLOOR]
+    bracket = next(
+        ((a, b) for a, b in zip(signed, signed[1:]) if b - a <= 2 and raw[a] * raw[b] < 0.0),
+        None,
+    )
     if bracket is None:
-        return ThresholdResult(
-            mu_t=None, bracket=(0.0, 1.0), iterations=0, reason=_null_reason(raw, gaps)
-        )
+        if signed == list(range(1, THRESHOLD_SEEDS)):
+            reason = "edge"
+        else:
+            reason = "below_noise_floor" if min(raw) < 0.0 < max(raw) else "none"
+        return ThresholdResult(mu_t=None, bracket=(0.0, 1.0), iterations=0, reason=reason)
 
-    lo, hi, g_lo = seeds[bracket[0]], seeds[bracket[1]], gaps[bracket[0]]
+    lo, hi, g_lo = seeds[bracket[0]], seeds[bracket[1]], raw[bracket[0]]
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -394,7 +381,7 @@ def threshold_numeric(family: str, param: float, tol: float) -> ThresholdResult:
         elif g_lo * g_mid < 0.0:
             hi = mid
         else:
-            lo, g_lo = mid, g_mid
+            lo = mid
     return ThresholdResult(mu_t=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations)
 
 

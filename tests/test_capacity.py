@@ -9,6 +9,7 @@ from memchan import capacity, channels
 from memchan.capacity import (
     I2Kernel,
     InputEnsemble,
+    ThresholdResult,
     depolarizing_threshold_closed,
     i2_ad_closed,
     i2_depolarizing_closed,
@@ -757,6 +758,31 @@ def test_threshold_stops_on_adjacent_doubles(monkeypatch):
     assert result.iterations == len(evaluations) - 17
 
 
+def _seed_gaps_then(seed_gaps, midpoint):
+    """A gap function that reads seed_gaps at threshold_numeric's 17 seeds
+    and midpoint(mu) at every later point."""
+    seeds = iter(seed_gaps)
+
+    def gap(mu):
+        g = next(seeds, None)
+        return midpoint(mu) if g is None else g
+
+    return gap
+
+
+def _patch_kernel(monkeypatch, gap):
+    """Make threshold_numeric's kernel report gap(mu) as the Bell/product gap."""
+
+    class GapKernel:
+        def __init__(self, family, params, thetas):
+            pass
+
+        def at(self, mu):
+            return np.array([[gap(mu), 0.0]])
+
+    monkeypatch.setattr(capacity, "I2Kernel", GapKernel)
+
+
 @pytest.mark.parametrize(
     "raw,reason",
     [
@@ -765,23 +791,100 @@ def test_threshold_stops_on_adjacent_doubles(monkeypatch):
         ([-5e-13] + [4e-12] * 16, "below_noise_floor"),
         ([0.0, -2e-16] + [0.0] * 15, "none"),
         ([0.0, 1e-3, 0.0] + [1e-3] * 14, "none"),
+        ([-2e-11, 0.0, 0.0, 2e-11] + [2e-11] * 13, "below_noise_floor"),
+        # the shape of ad 4.6e-6's seed gaps; a gap of exactly the floor is unsigned
+        ([-2e-11, -1e-11, 3e-12, 1e-11, 2e-11] + [2e-11] * 12, "below_noise_floor"),
     ],
-    ids=["zero_then_positive", "noise_then_negative", "inside_floor", "rounding", "inner_zero"],
+    ids=[
+        "zero_then_positive",
+        "noise_then_negative",
+        "inside_floor",
+        "rounding",
+        "inner_zero",
+        "signed_three_apart",
+        "signed_four_apart",
+    ],
 )
 def test_threshold_null_reason(monkeypatch, raw, reason):
-    gaps = iter(raw)
-
-    class SeedKernel:
-        def __init__(self, family, params, thetas):
-            pass
-
-        def at(self, mu):
-            return np.array([[next(gaps), 0.0]])
-
-    monkeypatch.setattr(capacity, "I2Kernel", SeedKernel)
+    _patch_kernel(monkeypatch, _seed_gaps_then(raw, None))
     result = threshold_numeric(DEPOLARIZING, 0.3, 1e-6)
     assert (result.mu_t, result.bracket, result.iterations) == (None, (0.0, 1.0), 0)
     assert result.reason == reason
+
+
+@pytest.mark.parametrize(
+    "raw,bracket",
+    [
+        ([-2e-11, 2e-11] + [2e-11] * 15, (0.0, 0.0625)),
+        ([-2e-11, 0.0] + [2e-11] * 15, (0.0, 0.125)),
+    ],
+    ids=["signed_adjacent", "signed_two_apart"],
+)
+def test_threshold_seed_bracket(monkeypatch, raw, bracket):
+    # tol is wider than either bracket, so no midpoint is evaluated
+    _patch_kernel(monkeypatch, _seed_gaps_then(raw, None))
+    result = threshold_numeric(DEPOLARIZING, 0.3, 0.2)
+    assert result == ThresholdResult(mu_t=0.5 * sum(bracket), bracket=bracket, iterations=0)
+
+
+def _reference_threshold(gap, tol):
+    """threshold_numeric's seed bracket, null reason and bisection as first
+    written: a floored copy of the seed gaps, a two-branch bracket loop and
+    a g_lo that follows lo."""
+    seeds = channels.grid(*channels.DOMAINS["mu"], capacity.THRESHOLD_SEEDS)
+    raw = [gap(mu) for mu in seeds]
+    gaps = [g if abs(g) > capacity.THRESHOLD_NOISE_FLOOR else 0.0 for g in raw]
+    bracket = None
+    for i in range(1, capacity.THRESHOLD_SEEDS):
+        if gaps[i - 1] * gaps[i] < 0.0:
+            bracket = (i - 1, i)
+        elif gaps[i] == 0.0 and i + 1 < capacity.THRESHOLD_SEEDS and gaps[i - 1] * gaps[i + 1] < 0.0:
+            bracket = (i - 1, i + 1)
+        if bracket is not None:
+            break
+    if bracket is None:
+        if gaps[0] == 0.0 and (min(gaps[1:]) > 0.0 or max(gaps[1:]) < 0.0):
+            reason = "edge"
+        else:
+            reason = "below_noise_floor" if min(raw) < 0.0 < max(raw) else "none"
+        return ThresholdResult(mu_t=None, bracket=(0.0, 1.0), iterations=0, reason=reason)
+
+    lo, hi, g_lo = seeds[bracket[0]], seeds[bracket[1]], gaps[bracket[0]]
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        g_mid = gap(mid)
+        iterations += 1
+        if g_mid == 0.0:
+            lo = hi = mid
+        elif g_lo * g_mid < 0.0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    return ThresholdResult(mu_t=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations)
+
+
+def test_threshold_matches_reference(monkeypatch):
+    # seed gaps from a random palette, so that every bracket shape and null
+    # reason occurs; midpoint gaps are a line through a root, which is on
+    # the dyadic grid half the time so that a midpoint can hit it exactly
+    values = [0.0, 3e-12, -3e-12, 2e-11, -2e-11, 1e-3, -1e-3]
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        palette = rng.choice(values, size=rng.integers(1, len(values) + 1), replace=False)
+        seed_gaps = [float(rng.choice(values))] + rng.choice(palette, size=16).tolist()
+        root = rng.integers(0, 65) / 64 if rng.random() < 0.5 else rng.random()
+        slope = float(rng.choice([-1e-3, 1e-3]))
+        tol = float(rng.choice([1e-3, 1e-9, 1e-300]))
+
+        def midpoint(mu):
+            return slope * (mu - root)
+
+        _patch_kernel(monkeypatch, _seed_gaps_then(seed_gaps, midpoint))
+        expected = _reference_threshold(_seed_gaps_then(seed_gaps, midpoint), tol)
+        assert threshold_numeric(DEPOLARIZING, 0.3, tol) == expected, (seed_gaps, root, slope, tol)
 
 
 def test_threshold_bracket_has_sign_change():
