@@ -1,6 +1,7 @@
-"""Pauli constants and two numpy solves.  ``solve_linear`` refuses non-square
-or non-finite input, a matrix whose inverse overflows, and a matrix singular
-to a relative tolerance, where numpy rejects only an exact zero pivot.
+"""Pauli constants and two numpy solves.  ``solve_linear``, which serves only
+``lindblad.exponential_matrix``'s eig path (the catalogs' duals are closed forms),
+refuses non-square or non-finite input, a matrix whose inverse overflows, and a
+matrix singular to a relative tolerance, where numpy rejects only an exact zero pivot.
 ``hermitian_eigen`` checks nothing: its callers, ``channels.density_spectra``
 and ``capacity._i2``, check the form.
 

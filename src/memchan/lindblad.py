@@ -11,9 +11,9 @@ and uncorrelated dephasing (jumps I x Z and Z x I).
 
 Channels are evaluated two ways: through a catalog of sixteen right
 eigenoperators R_i (L R_i = lambda_i R_i) paired with left duals L_i
-(tr(L_i R_j) = delta_ij, plain trace), which the catalog solves for when it
-is built and holds as three read-only stacks, rights, eigenvalues and lefts,
-in the order of LABELS, giving
+(tr(L_i R_j) = delta_ij, plain trace), which each family gives in closed form
+(_catalog) and the catalog checks when it is built and holds as three
+read-only stacks, rights, eigenvalues and lefts, in the order of LABELS, giving
 
     pi -> sum_i tr(L_i pi) exp(lambda_i t) R_i,
 
@@ -34,7 +34,7 @@ holds for every input state, not a random sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,40 +124,51 @@ LABELS = (
 @dataclass(frozen=True, eq=False)
 class EigenoperatorCatalog:
     """Sixteen right eigenoperators of a two-qubit generator, rights (16, 4, 4)
-    in LABELS order, with their eigenvalues (16,), and the left duals lefts
-    (16, 4, 4) (dual_basis) solved from them when the catalog is built, so
-    replacing rights or eigenvalues solves them again.  All three are
-    read-only.  Raises ValueError on a NaN or inf eigenvalue, before solving,
-    and ArithmeticError when the duals miss duality by more than DUALITY_TOL."""
+    in LABELS order, with their eigenvalues (16,) and their left duals lefts
+    (16, 4, 4), all three read-only.  The catalog solves nothing: it checks
+    the lefts it is given, so replacing rights means replacing lefts too.
+    Raises ValueError on a NaN or inf eigenvalue, before the duality check,
+    and ArithmeticError when the lefts miss duality by more than DUALITY_TOL."""
 
     rights: np.ndarray
     eigenvalues: np.ndarray
-    lefts: np.ndarray = field(init=False)
+    lefts: np.ndarray
 
     def __post_init__(self):
         rights = np.array(self.rights, dtype=complex)
         eigenvalues = np.array(self.eigenvalues, dtype=float)
-        if rights.shape != (16, 4, 4) or eigenvalues.shape != (16,):
-            shapes = f"rights {rights.shape}, eigenvalues {eigenvalues.shape}"
-            raise ValueError(f"catalog needs 16 entries, got {len(rights)}: {shapes}")
+        lefts = np.array(self.lefts, dtype=complex)
+        if rights.shape != (16, 4, 4) or eigenvalues.shape != (16,) or lefts.shape != rights.shape:
+            shapes = f"rights {rights.shape}, eigenvalues {eigenvalues.shape}, lefts {lefts.shape}"
+            raise ValueError(f"catalog needs 16 entries in each stack, got {shapes}")
         if not np.isfinite(eigenvalues).all():  # exp(lambda t) would be NaN or inf
             raise ValueError(f"catalog eigenvalues must be finite, got {eigenvalues.tolist()}")
-        stacks = {"rights": rights, "eigenvalues": eigenvalues, "lefts": dual_basis(rights)}
+        stacks = {"rights": rights, "eigenvalues": eigenvalues, "lefts": lefts}
         for name, stack in stacks.items():
             object.__setattr__(self, name, linalg._readonly(stack))
         worst = duality_residual(self)
-        if worst > DUALITY_TOL:
+        if not worst <= DUALITY_TOL:  # a NaN left fails too
             raise ArithmeticError(f"duality residual {worst:.3e} exceeds {DUALITY_TOL:g}")
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _catalog(r00, lam33, lam_0x, lam03, lam13, lam23) -> EigenoperatorCatalog:
-    """The catalog with the shared layout of LABELS; only R00 and the
-    eigenvalues differ by family."""
+def _catalog(r00, l00, l33, lam33, lam_0x, lam03, lam13, lam23) -> EigenoperatorCatalog:
+    """The catalog in LABELS layout with closed-form left duals; only R00, L00,
+    L33 (diagonals, in units of 1/sqrt(2)) and the eigenvalues differ by family.
+
+    Every right is real.  The fourteen outside the diagonal pair (R00, R33)
+    are orthonormal under tr(A^T B) and orthogonal to every diagonal on |00>
+    and |11>, so their duals are their transposes.  The pair's duals are the
+    diagonals on |00> and |11> solving tr(L_a R_b) = delta_ab: the transposes
+    again for dephasing's orthonormal pair; for damping's R00 = sqrt(2)|11><11|,
+    L00 = (|00><00| + |11><11|) / sqrt(2), the trace functional, and
+    L33 = sqrt(2)|00><00|.  The rate enters only the eigenvalues, linearly:
+    rights and lefts are the same at every rate.
+    """
     rights = np.zeros((16, 4, 4), dtype=complex)
-    rights[0] = r00
+    rights[0] = _INV_SQRT2 * np.diag(r00)
     rights[1] = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, -1.0])
     for k, label in enumerate(LABELS[2:], start=2):
         i, j = int(label[1]), int(label[2])
@@ -166,9 +177,12 @@ def _catalog(r00, lam33, lam_0x, lam03, lam13, lam23) -> EigenoperatorCatalog:
         else:
             rights[k, i, j] = _INV_SQRT2 if label[3] == "+" else -_INV_SQRT2
             rights[k, j, i] = _INV_SQRT2
+    lefts = rights.transpose(0, 2, 1).copy()
+    lefts[0], lefts[1] = _INV_SQRT2 * np.diag(l00), _INV_SQRT2 * np.diag(l33)
     return EigenoperatorCatalog(
         rights,
         [0.0, lam33] + [lam_0x] * 4 + [lam03] * 2 + [0.0] * 3 + [lam13] * 2 + [0.0] + [lam23] * 2,
+        lefts,
     )
 
 
@@ -180,8 +194,8 @@ def catalog_dephasing_correlated(gamma_rate: float) -> EigenoperatorCatalog:
     """
     _check_nonnegative(rate=gamma_rate)
     g = float(gamma_rate)
-    r00 = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-    return _catalog(r00, lam33=0.0, lam_0x=-g, lam03=0.0, lam13=-g, lam23=-g)
+    r00, r33 = [1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]
+    return _catalog(r00, r00, r33, lam33=0.0, lam_0x=-g, lam03=0.0, lam13=-g, lam23=-g)
 
 
 def catalog_ad_correlated(alpha_rate: float) -> EigenoperatorCatalog:
@@ -192,13 +206,13 @@ def catalog_ad_correlated(alpha_rate: float) -> EigenoperatorCatalog:
     """
     _check_nonnegative(rate=alpha_rate)
     a = float(alpha_rate)
-    r00 = _INV_SQRT2 * np.diag([0.0, 0.0, 0.0, 2.0]).astype(complex)
-    return _catalog(r00, lam33=-a, lam_0x=-a / 2.0, lam03=-a / 2.0, lam13=0.0, lam23=0.0)
+    r00, l00, l33 = [0.0, 0.0, 0.0, 2.0], [1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 0.0]
+    return _catalog(r00, l00, l33, lam33=-a, lam_0x=-a / 2.0, lam03=-a / 2.0, lam13=0.0, lam23=0.0)
 
 
 def dual_basis(rights: np.ndarray) -> np.ndarray:
     """The (16, 4, 4) left duals of a (16, 4, 4) stack of rights, solving
-    tr(L_i R_j) = delta_ij.
+    tr(L_i R_j) = delta_ij: the general reference for _catalog's closed forms.
 
     With row-major vectorization tr(L R_j) = vec(R_j^T) . vec(L), so the
     lefts are the columns of the inverse of the matrix whose rows are the

@@ -785,15 +785,46 @@ def test_lebesgue_constant_of_the_equivalence_times(exponent, constant):
     assert lebesgue <= cli.EQUIVALENCE_LEBESGUE
 
 
-def test_verify_solves_only_for_dual_bases(capsys, monkeypatch):
-    # the ten catalogs' duals are verify's only linear solves: the diagonal
-    # dephasing generator's exponential takes none
+def test_verify_makes_no_linear_solve(capsys, monkeypatch):
+    # the catalogs' duals are closed forms and the diagonal dephasing generator's
+    # exponential takes no solve, so LAPACK's inverse is never paged in
     solves = []
     solve_linear = linalg.solve_linear
     monkeypatch.setattr(linalg, "solve_linear", lambda *a: solves.append(1) or solve_linear(*a))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("np.linalg.inv called"))
     code, _, _ = run_cli(capsys, "verify")
     assert code == EXIT_OK
-    assert len(solves) == 10
+    assert solves == []
+
+
+def _flip_r01_minus_dual(lefts):
+    lefts = lefts.copy()
+    lefts[lindblad.LABELS.index("R01-")] *= -1.0
+    return lefts
+
+
+@pytest.mark.parametrize(
+    "target, mutate",
+    [
+        (
+            "EigenoperatorCatalog",
+            lambda catalog: lambda r, e, lefts: catalog(r, e, _flip_r01_minus_dual(lefts)),
+        ),
+        ("_catalog", lambda catalog: lambda r00, l00, l33, **lam: catalog(r00, l33, l00, **lam)),
+    ],
+    ids=["r01_minus_sign", "l00_l33_swapped"],
+)
+def test_verify_fails_duality_for_a_wrong_closed_form_dual(capsys, monkeypatch, target, mutate):
+    # the catalog refuses the wrong duals, so every section that builds one
+    # fails to run, duality among them; the sections that build none still pass
+    monkeypatch.setattr(lindblad, target, mutate(getattr(lindblad, target)))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == EXIT_VERIFY_FAIL
+    passed = {s["name"]: s["pass"] for s in json.loads(out)["sections"]}
+    assert passed["duality"] is False
+    assert "verification check duality failed to run: duality residual" in err
+    catalog_sections = {"lindblad_eigenoperators", "duality", "kraus_lindblad_equivalence"}
+    assert {name for name, ok in passed.items() if not ok} == catalog_sections
 
 
 @pytest.mark.parametrize(

@@ -360,7 +360,8 @@ def test_eigen_residual_detects_wrong_eigenvalue():
 )
 @pytest.mark.parametrize("rate", [0.7, 1.0, 2.3])
 def test_catalog_stack_equals_the_per_entry_formula(make_cat, make_spec, rate):
-    # each stacked form against the per-entry sum or solve it replaced
+    # each stacked form against the per-entry sum it replaced, and the closed-form
+    # lefts against a per-entry solve of tr(L_i R_j) = delta_ij
     cat, spec = make_cat(rate), make_spec(rate)
     triples = list(zip(cat.rights, cat.eigenvalues.tolist(), cat.lefts))
     for t in EQUIVALENCE_TIMES:
@@ -377,7 +378,7 @@ def test_catalog_stack_equals_the_per_entry_formula(make_cat, make_spec, rate):
     assert np.array_equal(verify_eigen(spec, cat), residuals)
     gram = np.array([right.T.reshape(-1) for right in cat.rights])
     lefts = np.linalg.solve(gram, np.eye(16, dtype=complex)).T.reshape(16, 4, 4)
-    assert np.array_equal(cat.lefts, lefts)
+    assert np.abs(cat.lefts - lefts).max() <= 1e-15
     for stack in (cat.rights, cat.eigenvalues, cat.lefts):
         with pytest.raises(ValueError, match="read-only"):
             stack[0] = 0.0
@@ -426,29 +427,50 @@ def test_duality_residuals():
         assert duality_residual(cat) <= 1e-10
 
 
-def test_catalog_solves_its_own_duals():
+def test_catalog_takes_its_lefts_and_refuses_wrong_ones():
     cat = catalog_dephasing_correlated(0.7)
-    assert np.array_equal(EigenoperatorCatalog(cat.rights, cat.eigenvalues).lefts, cat.lefts)
+    taken = EigenoperatorCatalog(cat.rights, cat.eigenvalues, cat.lefts)
+    assert np.array_equal(taken.lefts, cat.lefts)
     with pytest.raises(TypeError):
-        EigenoperatorCatalog(cat.rights, cat.eigenvalues, cat.lefts)
+        EigenoperatorCatalog(cat.rights, cat.eigenvalues)  # lefts is required
+    flipped = cat.lefts.copy()
+    flipped[LABELS.index("R01-")] *= -1.0
+    for lefts in (flipped, cat.lefts[[1, 0, *range(2, 16)]], np.full((16, 4, 4), math.nan)):
+        with pytest.raises(ArithmeticError, match="duality residual"):
+            EigenoperatorCatalog(cat.rights, cat.eigenvalues, lefts)
+
+
+@pytest.mark.parametrize(
+    "make_cat", [catalog_dephasing_correlated, catalog_ad_correlated], ids=["dephasing", "damping"]
+)
+def test_closed_form_lefts_are_the_solved_duals_at_every_rate(make_cat):
+    # rights and lefts do not depend on the rate, so one rate's duality check
+    # covers every rate
+    first, *others = (make_cat(rate) for rate in (0.7, 1.0, 2.3))
+    assert np.abs(first.lefts - lindblad.dual_basis(first.rights)).max() <= 1e-15
+    for cat in others:
+        assert np.array_equal(cat.rights, first.rights)
+        assert np.array_equal(cat.lefts, first.lefts)
 
 
 def test_catalog_needs_sixteen_entries():
     cat = catalog_ad_correlated(1.0)
-    with pytest.raises(ValueError, match="16 entries, got 15"):
-        EigenoperatorCatalog(cat.rights[:15], cat.eigenvalues[:15])
+    with pytest.raises(ValueError, match=r"16 entries in each stack, got rights \(15, 4, 4\)"):
+        EigenoperatorCatalog(cat.rights[:15], cat.eigenvalues[:15], cat.lefts[:15])
+    with pytest.raises(ValueError, match=r"16 entries in each stack, .* lefts \(15, 4, 4\)"):
+        EigenoperatorCatalog(cat.rights, cat.eigenvalues, cat.lefts[:15])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg_inf"])
 def test_catalog_refuses_non_finite_eigenvalues(monkeypatch, bad):
     # exp(lambda t) of such an eigenvalue makes the whole spectral matrix NaN;
-    # the catalog refuses it before it solves any duals
+    # the catalog refuses it before it checks duality
     cat = catalog_ad_correlated(1.0)
     eigenvalues = cat.eigenvalues.copy()
     eigenvalues[5] = bad
-    monkeypatch.setattr(lindblad, "dual_basis", lambda rights: pytest.fail("duals solved"))
+    monkeypatch.setattr(lindblad, "duality_residual", lambda cat: pytest.fail("duality checked"))
     for build in (
-        lambda: EigenoperatorCatalog(cat.rights, eigenvalues),
+        lambda: EigenoperatorCatalog(cat.rights, eigenvalues, cat.lefts),
         lambda: replace(cat, eigenvalues=eigenvalues),
     ):
         with pytest.raises(ValueError, match="catalog eigenvalues must be finite, got"):
@@ -481,16 +503,16 @@ def _second_right_near_first(cat):
 )
 def test_duality_requires_spanning_rights(degenerate):
     cat = catalog_ad_correlated(1.0)
-    with pytest.raises(ValueError, match="span"):
+    with pytest.raises(ArithmeticError, match="duality residual"):
         replace(cat, rights=degenerate(cat))
 
 
 def test_rescaling_rights_rescales_lefts_and_keeps_map():
     rng = np.random.default_rng(3)
     cat = catalog_ad_correlated(1.0)
-    scaled = replace(cat, rights=2.5 * cat.rights)  # solves the duals again
-    for left, orig in zip(scaled.lefts, cat.lefts):
-        assert np.linalg.norm(left - orig / 2.5) <= 1e-12
+    scaled = replace(cat, rights=2.5 * cat.rights, lefts=cat.lefts / 2.5)  # still dual
+    with pytest.raises(ArithmeticError, match="duality residual"):
+        replace(cat, rights=2.5 * cat.rights)  # the old lefts are not
     rho = random_density_matrix(4, rng)
     for t in (0.0, 0.8, 3.0):
         assert np.linalg.norm(evolve(cat, t, rho).mat - evolve(scaled, t, rho).mat) <= 1e-12
