@@ -893,6 +893,69 @@ def test_verify_never_loads_numpy_random():
     assert proc.stdout.split() == [str(EXIT_OK), "False"]
 
 
+OPENBLAS_PAGE_BUDGET_KB = 64
+OPENBLAS_RSS_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+from memchan import cli
+
+def openblas_rss_kb():
+    # summed Rss: of the mappings whose path names openblas; None when none does
+    total, keep, found = 0, False, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            fields = line.split(maxsplit=5)
+            if not fields[0].endswith(":"):  # header: range perms offset dev inode [path]
+                keep = len(fields) > 5 and "openblas" in fields[5]
+                found = found or keep
+            elif keep and fields[0] == "Rss:":
+                total += int(fields[1])
+    return total if found else None
+
+# the benchmark worker's calibration matrix, so that the budget counts only
+# what the command adds
+a = np.arange(16.0).reshape(4, 4)
+np.linalg.eigvalsh(a + a.T)
+before = openblas_rss_kb()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, before, openblas_rss_kb()]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("sweep", "ad", "0:1:3", "0:1.5:3", "0:0.785398:2"),
+        ("sweep", "dp", "0:1:3", "0:1:3", "0:0.785398:2"),
+        ("sweep", "dephasing", "0:1:3", "0:1:3", "0:0.785398:2"),
+        ("threshold", "ad", "0.6", "1e-12"),
+        ("threshold", "dp", "0.3", "1e-12"),
+        ("inequality", "65"),
+    ],
+    ids=["verify", "sweep-ad", "sweep-dp", "sweep-dephasing", "threshold-ad", "threshold-dp",
+         "inequality"],
+)
+def test_every_command_pages_in_no_openblas_code(argv):
+    # past the calibration eigvalsh, a command may only use numpy's own loops and
+    # BLAS's 1-D norms: a BLAS-3 product (@, dot, einsum with optimize=True) or a
+    # LAPACK routine other than eigvalsh pages in a few hundred KB of OpenBLAS code,
+    # which rss_peak_mb counts.  One fresh process per command, as nothing unloads.
+    src = Path(memchan.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", OPENBLAS_RSS_SCRIPT, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, before, after = json.loads(proc.stdout)
+    if before is None:
+        pytest.skip("numpy maps no OpenBLAS library here")
+    assert code == EXIT_OK
+    assert after - before < OPENBLAS_PAGE_BUDGET_KB, f"{after - before} KB of OpenBLAS paged in"
+
+
 def test_verify_detects_wrong_damping_angle(capsys, monkeypatch):
     # every constructor stays CPTP, so only the Kraus/Lindblad gap can see it
     original = lindblad.damping_angle
