@@ -85,7 +85,7 @@ def theta_ensemble(theta: float) -> InputEnsemble:
         (0.0, c, s, 0.0),
         (0.0, s, -c, 0.0),
     )
-    states = tuple(pure_state(np.array(k, dtype=complex)) for k in kets)
+    states = tuple(pure_state(k) for k in kets)
     return InputEnsemble(probs=(0.25, 0.25, 0.25, 0.25), states=states)
 
 
@@ -141,8 +141,9 @@ def mutual_information_numeric(kraus: KrausSet, ensemble: InputEnsemble) -> floa
         raise ValueError(f"channel dim {kraus.dim} does not match ensemble dim {ensemble.dim}")
     kraus.require_trace_preserving()
     n, d = len(ensemble.states), kraus.dim
-    stack = np.empty((n + 1, d * d), dtype=complex)
-    stack[:n] = [state.mat.reshape(-1) for state in ensemble.states] @ kraus.transfer.T
+    outputs = [state.mat.reshape(-1) for state in ensemble.states] @ kraus.transfer.T
+    stack = np.empty((n + 1, d * d), dtype=outputs.dtype)
+    stack[:n] = outputs
     check_density_form(stack[:n].reshape(n, d, d))
     return float(_i2(stack, np.array(ensemble.probs)))
 
@@ -175,10 +176,11 @@ class I2Kernel:
     takes for the entropies.  Every slice writes into one buffer the kernel
     keeps, so one kernel must not run two slices at once.
 
-    The branch transfers and input states are exactly real for the three
-    families (see linalg), so the branch outputs and the slice buffer are
-    float64 and every slice's eigensolve is real symmetric; a branch with a
-    nonzero imaginary part keeps the whole kernel complex.
+    The transfer buffer takes the branches' dtype, and the outputs and the
+    slice buffer take the transfers' and input states'.  The three families'
+    transfers and the theta-ensemble states are float64 (see linalg), so
+    every slice's eigensolve is real symmetric; a complex branch keeps the
+    whole kernel complex.
     """
 
     def __init__(self, family: str, params, thetas):
@@ -186,13 +188,13 @@ class I2Kernel:
         # (state, theta) weights and (theta, state, 16) vectorized input states
         self._probs = np.reshape([e.probs for e in ensembles], (len(thetas), 4)).T
         inputs = np.reshape([[s.mat for s in e.states] for e in ensembles], (len(thetas), 4, 16))
-        transfers = np.empty((len(params), 2, 16, 16), dtype=complex)
-        for i, param in enumerate(params):
+        transfers = []
+        for param in params:
             bound, branches = memory_branch_bound(family, float(param))
             if not bound <= CPTP_APPLY_TOL:  # a NaN bound fails too
                 raise ValueError(f"memory branches are not trace preserving: residual {bound:.3e}")
-            transfers[i] = [b.transfer for b in branches]
-        transfers, inputs = linalg.real_if_exact(transfers), linalg.real_if_exact(inputs)
+            transfers.append([b.transfer for b in branches])
+        transfers = np.reshape(transfers, (len(params), 2, 16, 16))
         # outputs of the uncorrelated and correlated branches, written
         # state-major (state, param, theta, 16) and contiguous, the layout
         # every slice reads

@@ -8,7 +8,10 @@ Three channel families are provided, each parameterized as follows:
   three Pauli errors.
 
 Dephasing and depolarizing are Pauli channels and share one construction
-from their (Pauli index, q) weights; dephasing's list only I and Z.
+from their (Pauli index, q) weights; dephasing's list only I and Z.  Their
+sigma_y enters as XZ = -i sigma_y (linalg.PAULI_PAIRS): a phase leaves a
+Kraus operator's channel unchanged, and every operator of the three families
+is real.
 
 Each family has an uncorrelated two-use form (independent noise on the two
 uses) and a correlated form (both uses suffer the same noise); the partial
@@ -104,7 +107,7 @@ class DensityMatrix:
     __slots__ = ("mat", "eigenvalues")
 
     def __init__(self, mat):
-        m = np.array(mat, dtype=complex)
+        m = linalg.float_or_complex(mat)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] not in (2, 4):
@@ -123,7 +126,7 @@ class DensityMatrix:
 
 def pure_state(ket) -> DensityMatrix:
     """Density matrix |k><k| of a (normalized copy of a) state vector."""
-    k = np.asarray(ket, dtype=complex).reshape(-1)
+    k = linalg.float_or_complex(ket).reshape(-1)
     if not np.isfinite(k).all():  # k / norm would warn first
         raise ValueError("ket has non-finite entries")
     norm = float(np.linalg.norm(k))
@@ -150,8 +153,8 @@ class KrausSet:
     ||sum_k K*K - I||_F, is the whole check.  transfer is the channel's one
     representation, which apply and the Lindblad comparisons read directly.
     Both are computed once per set from ops, one read-only (k, dim, dim)
-    complex array; dim is 4 for the two-use channels and 2 for the
-    single-qubit damping set they are built from.
+    array, float64 unless an operator is complex; dim is 4 for the two-use
+    channels and 2 for the single-qubit damping set they are built from.
     """
 
     ops: np.ndarray
@@ -160,7 +163,7 @@ class KrausSet:
         shapes = sorted({np.shape(op) for op in self.ops})
         if shapes not in ([(2, 2)], [(4, 4)]):
             raise ValueError(f"Kraus operators must be all 2x2 or all 4x4, got shapes {shapes}")
-        stack = np.array(self.ops, dtype=complex)
+        stack = linalg.float_or_complex(self.ops)
         if not np.isfinite(stack).all():
             raise ValueError("Kraus operator has non-finite entries")
         object.__setattr__(self, "ops", linalg._readonly(stack))
@@ -222,8 +225,8 @@ class ChannelParams:
 def amplitude_damping_kraus(chi: float) -> KrausSet:
     """Single-qubit damping: |0> decays to |1> with amplitude sin(chi)."""
     _check_range("chi", chi)
-    e0 = np.array([[math.cos(chi), 0.0], [0.0, 1.0]], dtype=complex)
-    e1 = np.array([[0.0, 0.0], [math.sin(chi), 0.0]], dtype=complex)
+    e0 = np.array([[math.cos(chi), 0.0], [0.0, 1.0]])
+    e1 = np.array([[0.0, 0.0], [math.sin(chi), 0.0]])
     return KrausSet((e0, e1))
 
 
@@ -241,8 +244,8 @@ def ad_correlated_kraus2(chi: float) -> KrausSet:
     passes through untouched.
     """
     _check_range("chi", chi)
-    e00 = np.diag([math.cos(chi), 1.0, 1.0, 1.0]).astype(complex)
-    e11 = np.zeros((4, 4), dtype=complex)
+    e00 = np.diag([math.cos(chi), 1.0, 1.0, 1.0])
+    e11 = np.zeros((4, 4))
     e11[3, 0] = math.sin(chi)
     return KrausSet((e00, e11))
 

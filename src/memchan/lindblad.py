@@ -45,7 +45,7 @@ from .linalg import PAULI_PAIRS
 DUALITY_TOL = 1e-10
 
 # annihilation |1><0| in the {|0> excited, |1> ground} basis
-LOWERING = linalg._readonly(np.array([[0, 0], [1, 0]], dtype=complex))
+LOWERING = linalg._readonly(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 def _check_nonnegative(**values: float) -> None:
@@ -58,14 +58,14 @@ def _check_nonnegative(**values: float) -> None:
 class LindbladSpec:
     """Jump-operator form of a two-qubit generator: term k has rate rates[k]
     and jump jumps[k] on the two-use space.  rates (n,) float and jumps
-    (n, 4, 4) complex, all finite, are read-only stacks."""
+    (n, 4, 4), float unless a jump is complex, all finite, are read-only stacks."""
 
     rates: np.ndarray
     jumps: np.ndarray
 
     def __post_init__(self):
         rates = np.array(self.rates, dtype=float)
-        jumps = np.array(self.jumps, dtype=complex)
+        jumps = linalg.float_or_complex(self.jumps)
         if rates.size == 0:
             raise ValueError("a LindbladSpec needs at least one (rate, jump) term")
         for rate in rates.reshape(-1).tolist():
@@ -135,9 +135,9 @@ class EigenoperatorCatalog:
     lefts: np.ndarray
 
     def __post_init__(self):
-        rights = np.array(self.rights, dtype=complex)
+        rights = linalg.float_or_complex(self.rights)
         eigenvalues = np.array(self.eigenvalues, dtype=float)
-        lefts = np.array(self.lefts, dtype=complex)
+        lefts = linalg.float_or_complex(self.lefts)
         if rights.shape != (16, 4, 4) or eigenvalues.shape != (16,) or lefts.shape != rights.shape:
             shapes = f"rights {rights.shape}, eigenvalues {eigenvalues.shape}, lefts {lefts.shape}"
             raise ValueError(f"catalog needs 16 entries in each stack, got {shapes}")
@@ -167,7 +167,7 @@ def _catalog(r00, l00, l33, lam33, lam_0x, lam03, lam13, lam23) -> Eigenoperator
     L33 = sqrt(2)|00><00|.  The rate enters only the eigenvalues, linearly:
     rights and lefts are the same at every rate.
     """
-    rights = np.zeros((16, 4, 4), dtype=complex)
+    rights = np.zeros((16, 4, 4))
     rights[0] = _INV_SQRT2 * np.diag(r00)
     rights[1] = _INV_SQRT2 * np.diag([1.0, 0.0, 0.0, -1.0])
     for k, label in enumerate(LABELS[2:], start=2):
@@ -220,7 +220,7 @@ def dual_basis(rights: np.ndarray) -> np.ndarray:
     """
     gram = rights.transpose(0, 2, 1).reshape(16, 16)
     try:
-        sol = linalg.solve_linear(gram, np.eye(16, dtype=complex))
+        sol = linalg.solve_linear(gram, np.eye(16))
     except ValueError as exc:
         raise ValueError(f"right eigenoperators do not span the operator space: {exc}")
     return sol.T.reshape(16, 4, 4)
@@ -270,7 +270,7 @@ def exponential_matrix(spec: LindbladSpec, t: float) -> np.ndarray:
 def verify_eigen(spec: LindbladSpec, cat: EigenoperatorCatalog) -> list:
     """Per-entry residual ||L(R_i) - lambda_i R_i||_F in LABELS order, linear in the rate (S
     and the eigenvalues are; the rights do not depend on it).  S vec(R_i) is one einsum at its
-    default optimize=False, which, unlike @, never pages in OpenBLAS's complex gemm."""
+    default optimize=False, which, unlike @, never pages in OpenBLAS's gemm."""
     vecs = cat.rights.reshape(16, 16)
     s_vecs = np.einsum("ij,kj->ki", superoperator_matrix(spec), vecs)
     return np.linalg.norm(s_vecs - cat.eigenvalues[:, None] * vecs, axis=1).tolist()

@@ -120,7 +120,7 @@ def test_criterion_3_closed_form_numeric_equivalence():
 
 
 def test_criterion_4_eigenoperator_certification():
-    # memchan verify runs the same checks; both catalogs at rates 1.0 and 0.7
+    # memchan verify runs the same checks; both catalogs at rate 1.0, which covers every rate
     with criterion(4, "eigenoperator residuals and duality", 1.0):
         for check, tol in ((cli.check_eigenoperators, 1e-12), (cli.check_duality, 1e-10)):
             section = check()

@@ -462,7 +462,7 @@ def test_i2_grid_is_bitwise_the_per_slice_formula(family, params):
 def test_i2_kernel_branch_outputs_are_state_major_and_contiguous(family):
     # numpy buffers a ufunc whose operands are not contiguous alike, so every
     # slice operand is a C-contiguous (state, param, theta, 16) array; the
-    # families' transfers are exactly real, so every buffer is float64
+    # families' transfers are built float64, and so is every buffer
     params, thetas = [0.1, 0.5, 0.9], [0.0, PI / 4]
     kernel = I2Kernel(family, params, thetas)
     for branch in (kernel._unc, kernel._cor):

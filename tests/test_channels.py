@@ -323,7 +323,12 @@ def test_memory_channel_rejects_bad_inputs():
 
 # Each set written out operator by operator, as tuples of np.kron products
 # with math.sqrt(q_i * q_j) weights; the stacks the builders make as one array
-# expression must equal these entry for entry.
+# expression must equal these entry for entry.  The Pauli sets take sigma_y as
+# XZ = -i sigma_y, real like every other operator, and
+# test_pauli_kraus_operators_are_the_pauli_products_up_to_a_phase pins that phase.
+KRAUS_PAULIS = (PAULIS[0], PAULIS[1], PAULIS[1] @ PAULIS[3], PAULIS[3])
+
+
 def _damping_ops(chi):
     return (
         np.array([[math.cos(chi), 0.0], [0.0, 1.0]], dtype=complex),
@@ -347,18 +352,18 @@ def _pauli_weight_pairs(p, errors):
     return ((0, 1.0 - p),) + tuple((k, p / len(errors)) for k in errors)
 
 
-def _pauli_uncorrelated_ops(p, errors):
+def _pauli_uncorrelated_ops(p, errors, paulis=KRAUS_PAULIS):
     weights = _pauli_weight_pairs(p, errors)
     return tuple(
-        math.sqrt(qi * qj) * np.kron(PAULIS[i], PAULIS[j])
+        math.sqrt(qi * qj) * np.kron(paulis[i], paulis[j])
         for i, qi in weights
         for j, qj in weights
     )
 
 
-def _pauli_correlated_ops(p, errors):
+def _pauli_correlated_ops(p, errors, paulis=KRAUS_PAULIS):
     weights = _pauli_weight_pairs(p, errors)
-    return tuple(math.sqrt(q) * np.kron(PAULIS[k], PAULIS[k]) for k, q in weights)
+    return tuple(math.sqrt(q) * np.kron(paulis[k], paulis[k]) for k, q in weights)
 
 
 _BRANCH_OPS = {
@@ -430,6 +435,36 @@ def test_operator_stacks_equal_the_per_operator_formula(build, reference, scale_
         assert np.array_equal(kraus.transfer, transfer), param
         residual = np.einsum("kji,kjl->il", stack.conj(), stack) - np.eye(d)
         assert kraus.completeness_residual == float(np.linalg.norm(residual)), param
+
+
+@pytest.mark.parametrize(
+    "build, reference, errors",
+    [
+        (dephasing_uncorrelated_kraus, _pauli_uncorrelated_ops, (3,)),
+        (dephasing_correlated_kraus, _pauli_correlated_ops, (3,)),
+        (depolarizing_uncorrelated_kraus2, _pauli_uncorrelated_ops, (1, 2, 3)),
+        (depolarizing_correlated_kraus2, _pauli_correlated_ops, (1, 2, 3)),
+    ],
+    ids=["dephasing_uncorrelated", "dephasing_correlated", "dp_uncorrelated", "dp_correlated"],
+)
+def test_pauli_kraus_operators_are_the_pauli_products_up_to_a_phase(build, reference, errors):
+    # a Kraus operator is fixed only up to a phase: with sigma_y = i XZ, each
+    # operator of the sigma_y formula is the built one times i per Y factor, and
+    # the transfer kron(K, conj K) cancels the phase bit for bit
+    idx = (0, *errors)
+    if reference is _pauli_correlated_ops:
+        labels = [(k, k) for k in idx]
+    else:
+        labels = [(i, j) for i in idx for j in idx]
+    phases = np.array([1j ** ((i == 2) + (j == 2)) for i, j in labels])
+    for x in range(101):
+        p = x / 100
+        kraus, with_y = build(p), np.array(reference(p, errors, PAULIS))
+        assert kraus.ops.dtype == np.float64
+        assert np.array_equal(with_y, phases[:, None, None] * kraus.ops), p
+        transfer = np.einsum("kij,kab->iajb", with_y, with_y.conj()).reshape(16, 16)
+        assert not transfer.imag.any(), p
+        assert kraus.transfer.tobytes() == transfer.real.tobytes(), p
 
 
 def test_memory_channel_is_convex_mixture():
@@ -533,13 +568,14 @@ def test_check_cptp_examples():
 
 
 def test_kraus_transfer_acts_like_apply():
-    # the uncorrelated depolarizing set has complex operators (I x Y), so a
-    # missing conjugate in kron(K, conj(K)) shows here
+    # the sigma_y formula of the uncorrelated depolarizing set has complex
+    # operators (I x Y), so a missing conjugate in kron(K, conj(K)) shows here
     rng = np.random.default_rng(16)
     for kraus in (
         amplitude_damping_kraus(1.1),
         ad_correlated_kraus2(0.8),
         depolarizing_uncorrelated_kraus2(0.6),
+        KrausSet(_pauli_uncorrelated_ops(0.6, (1, 2, 3), PAULIS)),
     ):
         t = kraus.transfer
         assert t.shape == (kraus.dim**2, kraus.dim**2)
@@ -601,12 +637,12 @@ def test_memory_branch_bound_covers_every_mixture(family, scale_param):
 
 @pytest.mark.parametrize("family", sorted(channels.FAMILIES))
 def test_memory_branch_transfers_are_exactly_real(family):
-    # every Kraus operator is real or purely imaginary, so kron(K, conj(K))
-    # has no imaginary part at all: the premise of the I2 kernel's float64
-    # buffers and real symmetric eigensolves
+    # every Kraus operator is real (sigma_y enters as XZ), so the operators
+    # and kron(K, conj(K)) are built float64: the premise of the I2 kernel's
+    # float64 buffers and real symmetric eigensolves
     for param in channels.grid(*channels.DOMAINS[channels.FAMILIES[family]], 21):
         for branch in channels.memory_branches(family, param):
-            assert not branch.transfer.imag.any(), (family, param)
+            assert branch.ops.dtype == branch.transfer.dtype == np.float64, (family, param)
 
 
 @pytest.mark.parametrize("nan_branch", [0, 1], ids=["uncorrelated", "correlated"])

@@ -22,6 +22,8 @@ from memchan.cli import (
     parse_range_spec,
 )
 
+import page_probe
+
 PI = math.pi
 
 
@@ -838,15 +840,41 @@ def test_verify_fails_duality_for_a_wrong_closed_form_dual(capsys, monkeypatch, 
     ids=["sweep-ad", "sweep-dp", "sweep-dephasing", "verify"],
 )
 def test_every_eigensolve_is_real_symmetric(capsys, monkeypatch, argv):
-    # the three families' transfers and the theta-ensemble states are exactly
-    # real, so no complex stack reaches eigvalsh: the complex solver's code
-    # is never paged in
+    # the three families' transfers and the theta-ensemble states are built
+    # float64, so every stack reaches eigvalsh real: the complex solver's code
+    # is never paged in (test_every_command_builds_real_arrays pins the builds)
     dtypes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: dtypes.append(a.dtype) or eigvalsh(a))
     code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("argv", list(page_probe.COMMANDS.values()), ids=list(page_probe.COMMANDS))
+def test_every_command_builds_real_arrays(capsys, monkeypatch, argv):
+    # the three families' data are real, so every array memchan builds for a
+    # command is float64 and no command runs one of numpy's complex loops
+    dtypes = {}
+
+    def record(cls, method, *names):
+        original = getattr(cls, method)
+
+        def wrapped(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            for name in names:
+                dtypes.setdefault(f"{cls.__name__}.{name}", set()).add(getattr(self, name).dtype)
+        monkeypatch.setattr(cls, method, wrapped)
+
+    record(channels.KrausSet, "__post_init__", "ops")
+    record(channels.DensityMatrix, "__init__", "mat")
+    record(lindblad.LindbladSpec, "__post_init__", "jumps")
+    record(lindblad.EigenoperatorCatalog, "__post_init__", "rights", "eigenvalues", "lefts")
+    record(capacity.I2Kernel, "__init__", "_unc", "_cor", "_stack")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert "KrausSet.ops" in dtypes and "I2Kernel._stack" in dtypes
+    assert {name: kinds for name, kinds in dtypes.items() if kinds != {np.dtype(np.float64)}} == {}
 
 
 def test_verify_stdout_is_byte_identical_run_to_run(capsys):
@@ -894,50 +922,10 @@ def test_verify_never_loads_numpy_random():
 
 
 OPENBLAS_PAGE_BUDGET_KB = 64
-OPENBLAS_RSS_SCRIPT = """
-import contextlib, io, json, sys
-import numpy as np
-from memchan import cli
-
-def openblas_rss_kb():
-    # summed Rss: of the mappings whose path names openblas; None when none does
-    total, keep, found = 0, False, False
-    with open("/proc/self/smaps") as fh:
-        for line in fh:
-            fields = line.split(maxsplit=5)
-            if not fields[0].endswith(":"):  # header: range perms offset dev inode [path]
-                keep = len(fields) > 5 and "openblas" in fields[5]
-                found = found or keep
-            elif keep and fields[0] == "Rss:":
-                total += int(fields[1])
-    return total if found else None
-
-# the benchmark worker's calibration matrix, so that the budget counts only
-# what the command adds
-a = np.arange(16.0).reshape(4, 4)
-np.linalg.eigvalsh(a + a.T)
-before = openblas_rss_kb()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(json.dumps([code, before, openblas_rss_kb()]))
-"""
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify",),
-        ("sweep", "ad", "0:1:3", "0:1.5:3", "0:0.785398:2"),
-        ("sweep", "dp", "0:1:3", "0:1:3", "0:0.785398:2"),
-        ("sweep", "dephasing", "0:1:3", "0:1:3", "0:0.785398:2"),
-        ("threshold", "ad", "0.6", "1e-12"),
-        ("threshold", "dp", "0.3", "1e-12"),
-        ("inequality", "65"),
-    ],
-    ids=["verify", "sweep-ad", "sweep-dp", "sweep-dephasing", "threshold-ad", "threshold-dp",
-         "inequality"],
-)
+@pytest.mark.parametrize("argv", list(page_probe.COMMANDS.values()), ids=list(page_probe.COMMANDS))
 def test_every_command_pages_in_no_openblas_code(argv):
     # past the calibration eigvalsh, a command may only use numpy's own loops and
     # BLAS's 1-D norms: a BLAS-3 product (@, dot, einsum with optimize=True) or a
@@ -946,12 +934,13 @@ def test_every_command_pages_in_no_openblas_code(argv):
     src = Path(memchan.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", OPENBLAS_RSS_SCRIPT, *argv],
+        [sys.executable, page_probe.__file__, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    code, before, after = json.loads(proc.stdout)
-    if before is None:
+    report = json.loads(proc.stdout)
+    if report["kb"]["openblas"] is None:
         pytest.skip("numpy maps no OpenBLAS library here")
+    code, (before, after) = report["code"], report["kb"]["openblas"]
     assert code == EXIT_OK
     assert after - before < OPENBLAS_PAGE_BUDGET_KB, f"{after - before} KB of OpenBLAS paged in"
 

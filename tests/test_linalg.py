@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import memchan
-from memchan.linalg import SIGMA_X, SIGMA_Y, hermitian_eigen, real_if_exact, solve_linear
+from memchan.channels import DensityMatrix, KrausSet, pure_state
+from memchan.linalg import SIGMA_X, SIGMA_Y, float_or_complex, hermitian_eigen, solve_linear
+from memchan.lindblad import EigenoperatorCatalog, LindbladSpec, catalog_ad_correlated
 
 
 def random_complex(rng, shape):
@@ -64,24 +66,15 @@ def test_eigen_stack_matches_each_matrix():
         assert np.array_equal(w[index], hermitian_eigen(stack[index]))
 
 
-@pytest.mark.parametrize("imag", [0.0, 1e-300])
-def test_real_if_exact_drops_only_an_exactly_zero_imaginary_part(imag):
-    a = np.array([[1.0, imag * 1j], [-imag * 1j, 2.0]])
-    out = real_if_exact(a)
-    assert out.dtype == (np.float64 if imag == 0.0 else np.complex128)
-    assert np.array_equal(out, a)
-    real = np.eye(2)
-    assert real_if_exact(real) is real
-
-
 def test_eigen_solves_a_real_stack_real_and_a_complex_one_whole(monkeypatch):
-    # the same real matrix stacked alone, then beside sigma_y x sigma_y plus
-    # the coherence 0.75i |00><11| + h.c.: one nonzero imaginary part keeps
-    # the whole stack on the complex path, with its exact spectrum
+    # the same float matrix stacked alone, then beside sigma_y x sigma_y plus
+    # the coherence 0.75i |00><11| + h.c.: the stack's dtype picks the solver,
+    # so one complex matrix keeps the whole stack on the complex path, with
+    # its exact spectrum
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.dtype) or eigvalsh(a))
-    real = np.diag([0.0, 0.25, 0.25, 0.5]).astype(complex)
+    real = np.diag([0.0, 0.25, 0.25, 0.5])
     coherent = np.kron(SIGMA_Y, SIGMA_Y)
     coherent[0, 3] += 0.75j
     coherent[3, 0] -= 0.75j
@@ -95,6 +88,84 @@ def test_eigen_solves_a_real_stack_real_and_a_complex_one_whole(monkeypatch):
 def test_eigen_rejects_non_square():
     with pytest.raises(ValueError):
         hermitian_eigen(np.ones((2, 3), dtype=complex))
+
+
+# ----------------------------------------------------------------------
+# float_or_complex, the dtype rule of every array memchan builds
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "data, dtype",
+    [
+        ([[1, 0], [0, 1]], np.float64),
+        ([True, False], np.float64),
+        (np.eye(2, dtype=np.float32), np.float64),
+        (np.eye(2, dtype=complex), np.complex128),  # a zero imaginary part stays
+        (np.eye(2, dtype=np.complex64), np.complex128),
+        ([np.eye(2), 1j * np.eye(2)], np.complex128),
+        (np.array([1.0, 1j], dtype=object), np.complex128),
+        (np.array([1.0, 2], dtype=object), np.float64),
+    ],
+)
+def test_float_or_complex_chooses_the_dtype_from_the_data(data, dtype):
+    out = float_or_complex(data)
+    assert out.dtype == dtype
+    assert np.array_equal(out, np.asarray(data).astype(dtype))
+    assert out is not data and not np.shares_memory(out, np.asarray(data))
+
+
+def _with_entry(array, entry, index):
+    # the nested lists a caller might pass, with one entry replaced
+    a = np.array(array, dtype=object)
+    a[index] = entry
+    return a.tolist()
+
+
+_CATALOG = catalog_ad_correlated(1.0)
+# each constructor, its array arguments built around one entry, and what a
+# None entry, read as NaN, trips: the catalog checks its rights by duality
+# alone, which a NaN fails
+_MALFORMED = {
+    "DensityMatrix": (
+        lambda e: DensityMatrix(_with_entry(np.eye(2) / 2, e, (0, 1))),
+        ValueError, "density matrix has non-finite entries",
+    ),
+    "pure_state": (
+        lambda e: pure_state(_with_entry([1.0, 0.0], e, 1)),
+        ValueError, "ket has non-finite entries",
+    ),
+    "KrausSet": (
+        lambda e: KrausSet(_with_entry(np.eye(2)[None], e, (0, 0, 1))),
+        ValueError, "Kraus operator has non-finite entries",
+    ),
+    "LindbladSpec": (
+        lambda e: LindbladSpec([1.0], _with_entry(np.eye(4)[None], e, (0, 0, 1))),
+        ValueError, "jump operator has non-finite entries",
+    ),
+    "EigenoperatorCatalog.rights": (
+        lambda e: EigenoperatorCatalog(
+            _with_entry(_CATALOG.rights, e, (0, 0, 1)), _CATALOG.eigenvalues, _CATALOG.lefts
+        ),
+        ArithmeticError, "duality residual nan",
+    ),
+    "EigenoperatorCatalog.eigenvalues": (
+        lambda e: EigenoperatorCatalog(
+            _CATALOG.rights, _with_entry(_CATALOG.eigenvalues, e, 0), _CATALOG.lefts
+        ),
+        ValueError, "catalog eigenvalues must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, nan_error, nan_message", _MALFORMED.values(), ids=list(_MALFORMED))
+def test_constructors_refuse_a_string_entry_and_read_none_as_nan(build, nan_error, nan_message):
+    # np.result_type would keep a string array ("<U32") or an object array;
+    # the dtype rule converts, so a malformed entry fails where it did when
+    # every array was built complex
+    with pytest.raises(ValueError):
+        build("x")
+    with pytest.raises(nan_error, match=nan_message):
+        build(None)
 
 
 # ----------------------------------------------------------------------
