@@ -93,7 +93,7 @@ def _entropy_bits(spectra) -> np.ndarray:
     """-sum lam log2 lam over the last axis: each eigenvalue is clamped into
     [0, 1], and one at or below TERM_CLAMP counts as 0 (0 log 0 = 0).  A NaN
     eigenvalue raises ArithmeticError, since the clamps would read it as 0."""
-    if np.isnan(spectra).any():
+    if math.isnan(linalg.worst(spectra)):
         raise ArithmeticError("spectrum has NaN entries")
     lam = np.clip(spectra, 0.0, 1.0)
     kept = lam > TERM_CLAMP
@@ -107,8 +107,8 @@ def _holevo(s_avg, s_outputs, probs) -> np.ndarray:
     holevo = s_avg
     for q, s in zip(probs, s_outputs):
         holevo = holevo - q * s
-    if not np.all(holevo >= -TERM_NEGATIVE_TOL):
-        raise ArithmeticError(f"I2 {float(np.min(holevo))!r} is negative beyond tolerance")
+    if not (lowest := float(np.min(holevo, initial=math.inf))) >= -TERM_NEGATIVE_TOL:
+        raise ArithmeticError(f"I2 {lowest!r} is negative beyond tolerance")
     return np.where(holevo > 0.0, holevo, 0.0)
 
 
@@ -149,8 +149,9 @@ def mutual_information_numeric(kraus: KrausSet, ensemble: InputEnsemble) -> floa
 
 
 # Most bytes an I2Kernel keeps per grid point: 2x16x16 branch transfer, 2x4x16
-# branch output and 5x16 slice buffer entries, at 16 bytes each (complex, the worst case)
-I2_BYTES_PER_POINT = (2 * 16 * 16 + 2 * 4 * 16 + 5 * 16) * 16
+# branch output and 5x16 slice buffer entries, at 8 bytes each (float64: the three
+# families' kernels are real, see linalg; a complex branch would double it)
+I2_BYTES_PER_POINT = (2 * 16 * 16 + 2 * 4 * 16 + 5 * 16) * 8
 
 
 class I2Kernel:

@@ -68,14 +68,14 @@ def check_density_form(m: np.ndarray) -> np.ndarray:
     (d, d) matrix or a (..., d, d) stack, is finite, Hermitian and unit trace
     at DENSITY_TOL, checked in that order.  Returns m.  The one place a
     density matrix's form is checked: the eigensolve after it checks nothing."""
-    if not np.all(np.isfinite(m)):
+    if not linalg.finite(m):
         raise ValueError("density matrix has non-finite entries")
     herm = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
-    if np.any(herm > DENSITY_TOL):
-        raise ValueError(f"matrix is not Hermitian: residual {float(herm.max()):.3e}")
+    if not (residual := linalg.worst(herm)) <= DENSITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: residual {residual:.3e}")
     tr = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
-    if np.any(off > DENSITY_TOL):
+    if not linalg.worst(off) <= DENSITY_TOL:
         raise ValueError(f"trace must be 1, got {complex(tr.flat[np.argmax(off)]):.12g}")
     return m
 
@@ -127,7 +127,7 @@ class DensityMatrix:
 def pure_state(ket) -> DensityMatrix:
     """Density matrix |k><k| of a (normalized copy of a) state vector."""
     k = linalg.float_or_complex(ket).reshape(-1)
-    if not np.isfinite(k).all():  # k / norm would warn first
+    if not linalg.finite(k):  # k / norm would warn first
         raise ValueError("ket has non-finite entries")
     norm = float(np.linalg.norm(k))
     if norm == 0.0:
@@ -164,7 +164,7 @@ class KrausSet:
         if shapes not in ([(2, 2)], [(4, 4)]):
             raise ValueError(f"Kraus operators must be all 2x2 or all 4x4, got shapes {shapes}")
         stack = linalg.float_or_complex(self.ops)
-        if not np.isfinite(stack).all():
+        if not linalg.finite(stack):
             raise ValueError("Kraus operator has non-finite entries")
         object.__setattr__(self, "ops", linalg._readonly(stack))
 
@@ -322,7 +322,7 @@ def memory_branch_bound(which: str, param: float) -> tuple:
     NaN residual at either branch makes the bound NaN.
     """
     branches = memory_branches(which, param)
-    return float(np.max([check_cptp(branch) for branch in branches])), branches
+    return linalg.worst([check_cptp(branch) for branch in branches]), branches
 
 
 def build_memory_channel(params: ChannelParams) -> KrausSet:

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import capacity, channels, lindblad
+from . import capacity, channels, linalg, lindblad
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -45,7 +45,7 @@ MIXTURE_CHECK_MU = 0.35  # interior memory degree of verify's one mixture per no
 LEBESGUE_3 = 1.25  # Lebesgue constant of the nodes 0, 1/2, 1 on [0, 1]
 SWEEP_HEADER = "channel,mu,param,theta,i2_numeric,i2_closed,delta"
 VALUE_TOKEN = re.compile("^-[^-]")
-# Most grid points per command (a sweep's mu x param x theta, grid_count): 23301
+# Most grid points per command (a sweep's mu x param x theta, grid_count): 46603
 MAX_GRID_POINTS = 2**28 // capacity.I2_BYTES_PER_POINT
 
 
@@ -163,12 +163,6 @@ def _section(name: str, threshold: float):
     return decorate
 
 
-def _worst(residuals: list) -> float:
-    """The largest residual, NaN when any is NaN; Python's max() would keep
-    an earlier value against a later NaN and so hide a broken check."""
-    return float(np.max(residuals))
-
-
 @_section("cptp_constructors", 1e-12)
 def check_cptp_constructors():
     """Completeness, a Kraus form's whole CPTP check, at every parameter from
@@ -187,7 +181,7 @@ def check_cptp_constructors():
             bound, branches = channels.memory_branch_bound(family, param)
             mixture = channels.memory_channel(*branches, MIXTURE_CHECK_MU)
             residuals += [bound, channels.check_cptp(mixture)]
-    return LEBESGUE_3 * _worst(residuals)
+    return LEBESGUE_3 * linalg.worst(residuals)
 
 
 def _correlated_pairs() -> tuple:
@@ -203,14 +197,14 @@ def _correlated_pairs() -> tuple:
 def check_eigenoperators():
     """||L(R_i) - lambda_i R_i|| for both catalogs at rate 1.0, which covers every
     rate: each residual is the rate times its value at rate 1 (verify_eigen)."""
-    return _worst([r for pair in _correlated_pairs() for r in lindblad.verify_eigen(*pair)])
+    return linalg.worst([r for pair in _correlated_pairs() for r in lindblad.verify_eigen(*pair)])
 
 
 @_section("duality", 1e-10)
 def check_duality():
     """Max |tr(L_i R_j) - delta_ij| of both catalogs' left duals at rate 1.0, which
     covers every rate: neither rights nor lefts depend on it, so neither does this."""
-    return _worst([lindblad.duality_residual(cat) for _, cat in _correlated_pairs()])
+    return linalg.worst([lindblad.duality_residual(cat) for _, cat in _correlated_pairs()])
 
 
 @_section("kraus_lindblad_equivalence", 1e-10)
@@ -228,7 +222,7 @@ def check_kraus_lindblad():
             lindblad.kraus_equivalence(lindblad.spectral_matrix(cat, t), kraus)
             for (_, cat), kraus in zip(pairs, krauses)
         ]
-    return EQUIVALENCE_LEBESGUE * _worst(residuals)
+    return EQUIVALENCE_LEBESGUE * linalg.worst(residuals)
 
 
 @_section("uncorrelated_dephasing_generator", 1e-10)
@@ -244,7 +238,7 @@ def check_uncorrelated_dephasing():
         )
         for t in EQUIVALENCE_TIMES
     ]
-    return EQUIVALENCE_LEBESGUE * _worst(residuals)
+    return EQUIVALENCE_LEBESGUE * linalg.worst(residuals)
 
 
 @_section("closed_form_vs_numeric", 1e-9)
@@ -257,7 +251,7 @@ def check_closed_forms():
         params = channels.grid(*_param_domain(family), 11)
         numeric, closed = compute_sweep(family, mus, params, thetas)
         residuals.append(np.abs(numeric - closed).max())
-    return _worst(residuals)
+    return linalg.worst(residuals)
 
 
 VERIFY_CHECKS = (

@@ -12,7 +12,15 @@ only up to a phase, so sigma_y enters the Pauli sets as XZ = -i sigma_y
 (``PAULI_PAIRS``).  So the branch transfers sum_k kron(K, conj(K)) and the
 theta-ensemble states are float64, their eigensolves are real symmetric ones
 (LAPACK dsyevd, not zheevd) on buffers half the size, and no command runs one
-of numpy's complex loops."""
+of numpy's complex loops.
+
+Every gate reduces its array to one float by a NaN-propagating max (``worst``)
+or min and compares that, as ``not worst(x) <= tol``, so a NaN fails every
+gate and an empty array passes; ``finite`` is the finiteness gate.  So no
+command runs one of numpy's boolean reductions (``.all()``, ``.any()``), whose
+code a process would page in for the gates alone."""
+
+import math
 
 import numpy as np
 
@@ -35,6 +43,18 @@ _KRAUS_PAULIS = (IDENTITY_2, SIGMA_X, np.array([[0.0, -1.0], [1.0, 0.0]]), SIGMA
 PAULI_PAIRS = _readonly(
     np.einsum("aij,bkl->abikjl", _KRAUS_PAULIS, _KRAUS_PAULIS).reshape(4, 4, 4, 4)
 )
+
+
+def worst(values) -> float:
+    """The largest of values, NaN when any is NaN, -inf when there are none.
+    Python's max() would keep an earlier value against a later NaN."""
+    return float(np.max(values, initial=-math.inf))
+
+
+def finite(a) -> bool:
+    """True when every entry of a is finite; an empty a is.  A complex entry
+    counts by its modulus, so one beyond the float range reads as infinite."""
+    return worst(np.abs(a)) < math.inf
 
 
 def float_or_complex(data) -> np.ndarray:
@@ -62,12 +82,12 @@ def solve_linear(a, b) -> np.ndarray:
     a = float_or_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not finite(a):
         raise ValueError("matrix contains non-finite entries")
     try:
         with np.errstate(all="ignore"):  # an overflowing norm reads inf, as in np.linalg.cond
             inv = np.linalg.inv(a)
-            if not np.isfinite(inv).all():  # e.g. a subnormal diagonal
+            if not finite(inv):  # e.g. a subnormal diagonal
                 raise ValueError("matrix inverse overflows: it has non-finite entries")
             # scaled by s = max|a_ij|, so a well conditioned a of any size passes
             s = float(np.abs(a).max())

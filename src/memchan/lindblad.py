@@ -74,10 +74,17 @@ class LindbladSpec:
             raise ValueError(f"jump operator shape {jumps.shape[-2:]} is not (4, 4)")
         if rates.ndim != 1 or jumps.shape != (rates.size, 4, 4):
             raise ValueError(f"{rates.shape} rates do not match {jumps.shape} jumps")
-        if not np.isfinite(jumps).all():
+        if not linalg.finite(jumps):
             raise ValueError("jump operator has non-finite entries")
         object.__setattr__(self, "rates", linalg._readonly(rates))
         object.__setattr__(self, "jumps", linalg._readonly(jumps))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two square matrices as one einsum, PAULI_PAIRS's idiom:
+    each entry is one product, so bitwise np.kron's, without its code."""
+    n = a.shape[0] * b.shape[0]
+    return np.einsum("ij,kl->ikjl", a, b).reshape(n, n)
 
 
 def dephasing_correlated_spec(gamma_rate: float) -> LindbladSpec:
@@ -87,7 +94,7 @@ def dephasing_correlated_spec(gamma_rate: float) -> LindbladSpec:
 
 def ad_correlated_spec(alpha_rate: float) -> LindbladSpec:
     """Two-qubit correlated decay with jump sigma (x) sigma (|00> -> |11>)."""
-    return LindbladSpec([alpha_rate], [np.kron(LOWERING, LOWERING)])
+    return LindbladSpec([alpha_rate], [_kron(LOWERING, LOWERING)])
 
 
 def dephasing_uncorrelated_spec(gamma_rate: float) -> LindbladSpec:
@@ -109,7 +116,7 @@ def superoperator_matrix(spec: LindbladSpec) -> np.ndarray:
     rates, jumps, eye = spec.rates, spec.jumps, np.eye(4)
     gain = np.einsum("k,kij,kab->iajb", rates, jumps, jumps.conj()).reshape(16, 16)
     loss = np.einsum("k,kji,kjl->il", rates, jumps.conj(), jumps)
-    return gain - 0.5 * (np.kron(loss, eye) + np.kron(eye, loss.T))
+    return gain - 0.5 * (_kron(loss, eye) + _kron(eye, loss.T))
 
 
 # The catalog's layout: R00 (set per family) and R33 are diagonal, Rii is
@@ -141,7 +148,7 @@ class EigenoperatorCatalog:
         if rights.shape != (16, 4, 4) or eigenvalues.shape != (16,) or lefts.shape != rights.shape:
             shapes = f"rights {rights.shape}, eigenvalues {eigenvalues.shape}, lefts {lefts.shape}"
             raise ValueError(f"catalog needs 16 entries in each stack, got {shapes}")
-        if not np.isfinite(eigenvalues).all():  # exp(lambda t) would be NaN or inf
+        if not linalg.finite(eigenvalues):  # exp(lambda t) would be NaN or inf
             raise ValueError(f"catalog eigenvalues must be finite, got {eigenvalues.tolist()}")
         stacks = {"rights": rights, "eigenvalues": eigenvalues, "lefts": lefts}
         for name, stack in stacks.items():
@@ -229,7 +236,7 @@ def dual_basis(rights: np.ndarray) -> np.ndarray:
 def duality_residual(cat: EigenoperatorCatalog) -> float:
     """Max |tr(L_i R_j) - delta_ij| over all pairs."""
     traces = np.einsum("iab,jba->ij", cat.lefts, cat.rights)
-    return float(np.max(np.abs(traces - np.eye(16))))
+    return linalg.worst(np.abs(traces - np.eye(16)))
 
 
 def evolve(cat: EigenoperatorCatalog, t: float, pi: DensityMatrix) -> DensityMatrix:
@@ -257,7 +264,7 @@ def exponential_matrix(spec: LindbladSpec, t: float) -> np.ndarray:
     (ValueError), and ||dS||_F > DUALITY_TOL ||S||_F raises ArithmeticError."""
     _check_nonnegative(time=t)
     s = superoperator_matrix(spec)
-    if np.array_equal(s, np.diag(np.diag(s))):  # eig's own answer, without paging in its
+    if linalg.worst(np.abs(s - np.diag(np.diag(s)))) == 0.0:  # eig's own answer, without its
         return np.diag(np.exp(t * np.diag(s)))  # ~0.3 MB of LAPACK code
     lam, v = np.linalg.eig(s)
     v_inv = linalg.solve_linear(v, np.eye(16))

@@ -14,7 +14,11 @@ of COMMANDS so, one process each.
 The libraries are numpy's OpenBLAS, numpy's _multiarray_umath extension (its
 ufunc loops and casts) and libm.  A first call into a routine pages in its
 code, which a process's peak RSS counts.  How much depends on how numpy was
-built and linked, so only tests/test_cli.py's OpenBLAS budget gates on it.
+built and linked, so of these numbers only tests/test_cli.py's OpenBLAS
+budget gates on them.  Beside it, test_no_command_runs_a_boolean_reduction
+guards _multiarray_umath with no build detail: it profiles every command of
+COMMANDS and fails on a call of numpy's boolean reductions (.all(), .any()),
+np.kron or np.array_equal, whose code no command needs.
 """
 
 import contextlib

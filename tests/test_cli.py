@@ -80,7 +80,7 @@ def _refuse_the_kernel(*args):
     [
         ("inequality", "100000000"),
         ("sweep", "ad", "0:1:3000", "0:1:3000", "0:0:1"),
-        ("sweep", "dephasing", "0:1:28", "0:1:863", "0:0:1"),
+        ("sweep", "dephasing", "0:1:30", "0:1:1607", "0:0:1"),
         ("sweep", "dp", "0:1:1", "0:1:1", "0:0:1000000000"),
     ],
     ids=["inequality", "sweep_product", "sweep_one_past", "sweep_axis"],
@@ -98,7 +98,7 @@ def test_over_limit_grid_is_usage_error(capsys, monkeypatch, argv):
 
 def test_sweep_grid_at_the_limit_is_accepted(monkeypatch):
     n = cli.MAX_GRID_POINTS
-    assert 27 * 863 == n  # one mu count more (28 x 863) is refused above
+    assert 29 * 1607 == n  # one mu count more (30 x 1607) is refused above
 
     class Reached(Exception):
         pass
@@ -108,7 +108,7 @@ def test_sweep_grid_at_the_limit_is_accepted(monkeypatch):
 
     monkeypatch.setattr(cli, "compute_sweep", reached)
     with pytest.raises(Reached, match=f"^{n}$"):
-        cli.main(["sweep", "dephasing", "0:1:27", "0:1:863", "0:0:1"])
+        cli.main(["sweep", "dephasing", "0:1:29", "0:1:1607", "0:0:1"])
 
 
 # ----------------------------------------------------------------------
@@ -943,6 +943,49 @@ def test_every_command_pages_in_no_openblas_code(argv):
     code, (before, after) = report["code"], report["kb"]["openblas"]
     assert code == EXIT_OK
     assert after - before < OPENBLAS_PAGE_BUDGET_KB, f"{after - before} KB of OpenBLAS paged in"
+
+
+def _numpy_call(frame, event, arg):
+    """The numpy routine a profiler event calls, when it is a boolean reduction
+    (logical_and/or.reduce, behind .all(), .any() and np.all/np.any), np.kron or
+    np.array_equal; else None."""
+    owner = getattr(arg, "__self__", None)
+    if event == "c_call" and arg.__name__ == "reduce" and (
+        owner is np.logical_and or owner is np.logical_or
+    ):
+        return f"np.{owner.__name__}.reduce"
+    name = frame.f_code.co_name
+    if event == "call" and name in ("kron", "array_equal"):
+        return f"np.{name}" if frame.f_globals.get("__name__", "").startswith("numpy") else None
+    return None
+
+
+def _memchan_caller(frame) -> str:
+    """'function:line' of the innermost memchan frame at or above frame."""
+    while not frame.f_globals.get("__name__", "").startswith("memchan"):
+        frame = frame.f_back
+    return f"{frame.f_code.co_name}:{frame.f_lineno}"
+
+
+@pytest.mark.parametrize("argv", list(page_probe.COMMANDS.values()), ids=list(page_probe.COMMANDS))
+def test_no_command_runs_a_boolean_reduction(capsys, argv):
+    # every gate reduces its array to one float by a NaN-propagating max or min
+    # (linalg.worst, linalg.finite), and every tensor product is an einsum, so no
+    # command pages in the code of numpy's boolean reductions or of np.kron
+    seen = []
+
+    def profile(frame, event, arg):
+        if (call := _numpy_call(frame, event, arg)) is not None:
+            seen.append((call, _memchan_caller(frame)))
+
+    sys.setprofile(profile)
+    try:
+        code = cli.main(list(argv))
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert seen == []
 
 
 def test_verify_detects_wrong_damping_angle(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import memchan
+from memchan import capacity, channels, linalg
 from memchan.channels import DensityMatrix, KrausSet, pure_state
 from memchan.linalg import SIGMA_X, SIGMA_Y, float_or_complex, hermitian_eigen, solve_linear
 from memchan.lindblad import EigenoperatorCatalog, LindbladSpec, catalog_ad_correlated
@@ -222,6 +224,56 @@ def test_solve_singular_reports_pivot():
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         solve_linear(np.eye(2, dtype=complex), np.ones(3))
+
+
+# ----------------------------------------------------------------------
+# the gate rule: a NaN-propagating max or min, compared as `not x <= tol`
+# ----------------------------------------------------------------------
+
+def test_worst_keeps_a_nan_that_python_max_hides():
+    assert max([1.0, math.nan]) == 1.0
+    assert math.isnan(linalg.worst([1.0, math.nan]))
+    assert math.isnan(linalg.worst(np.array([[math.nan, 1.0], [2.0, 0.0]])))
+    assert linalg.worst(np.array([[0.5, 2.0], [-1.0, 1.5]])) == 2.0
+    assert linalg.worst([]) == -math.inf  # so an empty array passes every gate
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 0.0)],
+    ids=["nan", "inf", "neg_inf", "complex_inf", "complex_nan"],
+)
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+def test_finite_refuses_a_non_finite_entry_at_either_end(bad, index):
+    a = np.full((3, 4), 1e308, dtype=type(bad))
+    assert linalg.finite(a) is True
+    a.flat[index] = bad
+    assert linalg.finite(a) is False
+
+
+def test_finite_accepts_an_empty_array():
+    assert linalg.finite(np.zeros((0, 4, 4))) is True
+
+
+def test_finite_reads_a_complex_entry_by_its_modulus():
+    assert linalg.finite(np.array([1e308 + 1e308j])) is True
+    assert linalg.finite(np.array([1.5e308 + 1.5e308j])) is False  # |z| overflows
+
+
+def test_every_gate_fails_on_a_nan_placed_last(monkeypatch):
+    # the NaN sits after a finite value, which Python's max() would keep
+    states = np.stack([np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.5, 0.5, 0.0, 0.0])])
+    states[-1, -1, -1] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        channels.check_density_form(states)
+    with pytest.raises(ArithmeticError, match="NaN"):
+        capacity._entropy_bits(np.array([[0.0, 1.0], [0.5, math.nan]]))
+    with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
+        capacity._holevo(np.array([1.0, 1.0, math.nan]), [np.zeros(3)] * 4, (0.25,) * 4)
+    residuals = iter([0.0, math.nan])
+    monkeypatch.setattr(channels, "check_cptp", lambda kraus: next(residuals))
+    bound, _ = channels.memory_branch_bound(channels.AMPLITUDE_DAMPING, 0.5)
+    assert not bound <= channels.CPTP_APPLY_TOL
 
 
 # ----------------------------------------------------------------------
