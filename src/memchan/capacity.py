@@ -14,7 +14,7 @@ outperform the product ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,30 +42,27 @@ THRESHOLD_SEEDS = 17
 THRESHOLD_NOISE_FLOOR = 1e-11  # |g| below this is numerical zero when seeding
 
 
-@dataclass(frozen=True)
 class InputEnsemble:
     """Pure states with a priori probabilities."""
 
-    probs: tuple
-    states: tuple
+    __slots__ = ("probs", "states")
 
-    def __post_init__(self):
-        if not self.states or len(self.probs) != len(self.states):
+    def __init__(self, probs, states):
+        if not states or len(probs) != len(states):
             raise ValueError("probs and states must be nonempty and aligned")
-        probs = tuple(float(q) for q in self.probs)
+        probs = tuple(float(q) for q in probs)
         if not all(q >= 0.0 for q in probs):  # a NaN probability fails too
             raise ValueError("probabilities must be nonnegative")
         total = sum(probs)
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        if len(dims := sorted({state.dim for state in self.states})) != 1:
+        if len(dims := sorted({state.dim for state in states})) != 1:
             raise ValueError(f"ensemble states must share one dimension, got dimensions {dims}")
-        for state in self.states:
+        for state in states:
             purity = float(np.einsum("ij,ji->", state.mat, state.mat).real)
             if abs(purity - 1.0) > PURITY_TOL:
                 raise ValueError(f"ensemble states must be pure, got purity {purity!r}")
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", tuple(self.states))
+        self.probs, self.states = probs, tuple(states)
 
     @property
     def dim(self) -> int:
@@ -227,8 +224,7 @@ def i2_grid(family: str, mus, params, thetas) -> np.ndarray:
     return np.array(slices).reshape(len(mus), len(params), len(thetas))
 
 
-@dataclass(frozen=True)
-class ClosedFormTerms:
+class ClosedFormTerms(NamedTuple):
     """Named scalar term groups entering a closed-form I2 value."""
 
     terms: dict
@@ -325,8 +321,7 @@ def depolarizing_threshold_closed(eta: float) -> float:
     return eta / (1.0 + eta)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Bisection outcome for the Bell-vs-product crossover in mu; reason says
     why mu_t is None (see threshold_numeric) and is None when it is not."""
 

@@ -23,7 +23,6 @@ basis {|0>, |1>} with |0> the excited state, two-qubit basis ordered
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -143,7 +142,6 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-@dataclass(frozen=True, eq=False)
 class KrausSet:
     """A nonempty list of finite operators K_k, all 2x2 or all 4x4, defining
     the channel rho -> sum_k K rho K*.
@@ -157,16 +155,14 @@ class KrausSet:
     channels and 2 for the single-qubit damping set they are built from.
     """
 
-    ops: np.ndarray
-
-    def __post_init__(self):
-        shapes = sorted({np.shape(op) for op in self.ops})
+    def __init__(self, ops):
+        shapes = sorted({np.shape(op) for op in ops})
         if shapes not in ([(2, 2)], [(4, 4)]):
             raise ValueError(f"Kraus operators must be all 2x2 or all 4x4, got shapes {shapes}")
-        stack = linalg.float_or_complex(self.ops)
+        stack = linalg.float_or_complex(ops)
         if not linalg.finite(stack):
             raise ValueError("Kraus operator has non-finite entries")
-        object.__setattr__(self, "ops", linalg._readonly(stack))
+        self.ops = linalg._readonly(stack)
 
     @property
     def dim(self) -> int:
@@ -195,24 +191,20 @@ def check_cptp(kraus: KrausSet) -> float:
     return kraus.completeness_residual
 
 
-@dataclass(frozen=True)
 class ChannelParams:
     """Validated parameter bundle for one channel family; its unused field must stay 0.0."""
 
-    which: str
-    mu: float = 0.0
-    chi: float = 0.0
-    p: float = 0.0
+    __slots__ = ("which", "mu", "chi", "p")
 
-    def __post_init__(self):
-        if self.which not in FAMILIES:
-            raise ValueError(f"unknown channel family {self.which!r}")
-        _check_range("mu", self.mu)
-        for name in ("chi", "p"):
-            value = getattr(self, name)
+    def __init__(self, which: str, mu: float = 0.0, chi: float = 0.0, p: float = 0.0):
+        if which not in FAMILIES:
+            raise ValueError(f"unknown channel family {which!r}")
+        _check_range("mu", mu)
+        for name, value in (("chi", chi), ("p", p)):
             _check_range(name, value)
-            if value != 0.0 and name != FAMILIES[self.which]:
-                raise ValueError(f"family {self.which!r} takes no {name}, got {value!r}")
+            if value != 0.0 and name != FAMILIES[which]:
+                raise ValueError(f"family {which!r} takes no {name}, got {value!r}")
+        self.which, self.mu, self.chi, self.p = which, mu, chi, p
 
     @classmethod
     def for_family(cls, which: str, param: float, mu: float = 0.0) -> "ChannelParams":

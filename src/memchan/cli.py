@@ -28,7 +28,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,8 +138,7 @@ def cmd_sweep(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckSection:
+class CheckSection(NamedTuple):
     """One verify section: its worst residual and the threshold it must meet."""
 
     name: str
@@ -274,7 +273,7 @@ def cmd_verify(args) -> int:
             sections.append(CheckSection(fn.section, math.nan, math.nan))
     overall = all(section.passed for section in sections)
     report = {
-        "sections": [{**asdict(section), "pass": section.passed} for section in sections],
+        "sections": [{**section._asdict(), "pass": section.passed} for section in sections],
         "overall": overall,
     }
     print(json.dumps(report, indent=2))
@@ -289,11 +288,11 @@ def cmd_threshold(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise UsageError(f"tol must be positive and finite, got {args.tol!r}")
     try:
-        channels.ChannelParams.for_family(args.channel, args.param)
+        channels._check_range(channels.FAMILIES[args.channel], args.param)
     except ValueError as exc:
         raise UsageError(str(exc))
     result = capacity.threshold_numeric(args.channel, args.param, args.tol)
-    payload = {"channel": args.channel, "param": args.param, **asdict(result)}
+    payload = {"channel": args.channel, "param": args.param, **result._asdict()}
     if result.mu_t is not None:
         del payload["reason"]
     print(json.dumps(payload))

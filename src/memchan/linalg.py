@@ -1,8 +1,9 @@
 """Pauli constants, the dtype rule and two numpy solves.  ``solve_linear``, which
-serves only ``lindblad.exponential_matrix``'s eig path (the catalogs' duals are
-closed forms), refuses non-square or non-finite input, a matrix whose inverse
-overflows, and a matrix singular to a relative tolerance, where numpy rejects
-only an exact zero pivot.  ``hermitian_eigen`` checks nothing: its callers,
+serves ``lindblad.exponential_matrix``'s eig path and ``lindblad.dual_basis``
+(the catalogs' duals are closed forms; ``dual_basis`` is their reference),
+refuses non-square or non-finite input, a matrix whose inverse overflows, and a
+matrix singular to a relative tolerance, where numpy rejects only an exact zero
+pivot.  ``hermitian_eigen`` checks nothing: its callers,
 ``channels.density_spectra`` and ``capacity._i2``, check the form.
 
 Every array memchan builds is float64 unless its data is complex

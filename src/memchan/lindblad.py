@@ -34,7 +34,6 @@ holds for every input state, not a random sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,18 +53,16 @@ def _check_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class LindbladSpec:
     """Jump-operator form of a two-qubit generator: term k has rate rates[k]
     and jump jumps[k] on the two-use space.  rates (n,) float and jumps
     (n, 4, 4), float unless a jump is complex, all finite, are read-only stacks."""
 
-    rates: np.ndarray
-    jumps: np.ndarray
+    __slots__ = ("rates", "jumps")
 
-    def __post_init__(self):
-        rates = np.array(self.rates, dtype=float)
-        jumps = linalg.float_or_complex(self.jumps)
+    def __init__(self, rates, jumps):
+        rates = np.array(rates, dtype=float)
+        jumps = linalg.float_or_complex(jumps)
         if rates.size == 0:
             raise ValueError("a LindbladSpec needs at least one (rate, jump) term")
         for rate in rates.reshape(-1).tolist():
@@ -76,8 +73,7 @@ class LindbladSpec:
             raise ValueError(f"{rates.shape} rates do not match {jumps.shape} jumps")
         if not linalg.finite(jumps):
             raise ValueError("jump operator has non-finite entries")
-        object.__setattr__(self, "rates", linalg._readonly(rates))
-        object.__setattr__(self, "jumps", linalg._readonly(jumps))
+        self.rates, self.jumps = linalg._readonly(rates), linalg._readonly(jumps)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,7 +124,6 @@ LABELS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class EigenoperatorCatalog:
     """Sixteen right eigenoperators of a two-qubit generator, rights (16, 4, 4)
     in LABELS order, with their eigenvalues (16,) and their left duals lefts
@@ -137,22 +132,19 @@ class EigenoperatorCatalog:
     Raises ValueError on a NaN or inf eigenvalue, before the duality check,
     and ArithmeticError when the lefts miss duality by more than DUALITY_TOL."""
 
-    rights: np.ndarray
-    eigenvalues: np.ndarray
-    lefts: np.ndarray
+    __slots__ = ("rights", "eigenvalues", "lefts")
 
-    def __post_init__(self):
-        rights = linalg.float_or_complex(self.rights)
-        eigenvalues = np.array(self.eigenvalues, dtype=float)
-        lefts = linalg.float_or_complex(self.lefts)
+    def __init__(self, rights, eigenvalues, lefts):
+        rights = linalg.float_or_complex(rights)
+        eigenvalues = np.array(eigenvalues, dtype=float)
+        lefts = linalg.float_or_complex(lefts)
         if rights.shape != (16, 4, 4) or eigenvalues.shape != (16,) or lefts.shape != rights.shape:
             shapes = f"rights {rights.shape}, eigenvalues {eigenvalues.shape}, lefts {lefts.shape}"
             raise ValueError(f"catalog needs 16 entries in each stack, got {shapes}")
         if not linalg.finite(eigenvalues):  # exp(lambda t) would be NaN or inf
             raise ValueError(f"catalog eigenvalues must be finite, got {eigenvalues.tolist()}")
-        stacks = {"rights": rights, "eigenvalues": eigenvalues, "lefts": lefts}
-        for name, stack in stacks.items():
-            object.__setattr__(self, name, linalg._readonly(stack))
+        self.rights, self.lefts = linalg._readonly(rights), linalg._readonly(lefts)
+        self.eigenvalues = linalg._readonly(eigenvalues)
         worst = duality_residual(self)
         if not worst <= DUALITY_TOL:  # a NaN left fails too
             raise ArithmeticError(f"duality residual {worst:.3e} exceeds {DUALITY_TOL:g}")

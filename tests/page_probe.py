@@ -11,8 +11,8 @@ none does.  Stdout of the command itself is discarded.  Nothing unloads, so
 each command needs a fresh process.  Without arguments it runs every command
 of COMMANDS so, one process each.
 
-The libraries are numpy's OpenBLAS, numpy's _multiarray_umath extension (its
-ufunc loops and casts) and libm.  A first call into a routine pages in its
+The libraries are numpy's OpenBLAS and numpy's _multiarray_umath extension
+(its ufunc loops and casts).  A first call into a routine pages in its
 code, which a process's peak RSS counts.  How much depends on how numpy was
 built and linked, so of these numbers only tests/test_cli.py's OpenBLAS
 budget gates on them.  Beside it, test_no_command_runs_a_boolean_reduction
@@ -39,7 +39,7 @@ COMMANDS = {
     "inequality": ("inequality", "65"),
 }
 # library -> a substring of its mapped file's name
-LIBRARIES = {"openblas": "openblas", "_multiarray_umath": "_multiarray_umath", "libm": "libm."}
+LIBRARIES = {"openblas": "openblas", "_multiarray_umath": "_multiarray_umath"}
 
 
 def rss_kb() -> dict:

@@ -1,9 +1,13 @@
+import dataclasses
 import functools
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import memchan
 from memchan import channels
 from memchan.channels import (
     AMPLITUDE_DAMPING,
@@ -156,6 +160,19 @@ def test_channel_params_validation():
     assert channels.FAMILIES == {AMPLITUDE_DAMPING: "chi", DEPHASING: "p", DEPOLARIZING: "p"}
     with pytest.raises(ValueError, match="unknown channel family 'bogus'"):
         ChannelParams.for_family("bogus", 0.5)
+
+
+def test_no_memchan_value_is_a_dataclass():
+    # one record idiom: a validated value is a plain class with an explicit
+    # __init__, as DensityMatrix is, and a plain result is a NamedTuple
+    names = ["memchan"] + [f"memchan.{m.name}" for m in pkgutil.iter_modules(memchan.__path__)]
+    found = [
+        f"{name}.{attr}"
+        for name in names
+        for attr, value in vars(importlib.import_module(name)).items()
+        if dataclasses.is_dataclass(value)
+    ]
+    assert found == []
 
 
 # ----------------------------------------------------------------------

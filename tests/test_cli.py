@@ -866,10 +866,10 @@ def test_every_command_builds_real_arrays(capsys, monkeypatch, argv):
                 dtypes.setdefault(f"{cls.__name__}.{name}", set()).add(getattr(self, name).dtype)
         monkeypatch.setattr(cls, method, wrapped)
 
-    record(channels.KrausSet, "__post_init__", "ops")
+    record(channels.KrausSet, "__init__", "ops")
     record(channels.DensityMatrix, "__init__", "mat")
-    record(lindblad.LindbladSpec, "__post_init__", "jumps")
-    record(lindblad.EigenoperatorCatalog, "__post_init__", "rights", "eigenvalues", "lefts")
+    record(lindblad.LindbladSpec, "__init__", "jumps")
+    record(lindblad.EigenoperatorCatalog, "__init__", "rights", "eigenvalues", "lefts")
     record(capacity.I2Kernel, "__init__", "_unc", "_cor", "_stack")
     code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
@@ -885,14 +885,12 @@ def test_verify_stdout_is_byte_identical_run_to_run(capsys):
 
 
 def test_verify_detects_wrong_eigenvalue(capsys, monkeypatch):
-    from dataclasses import replace
-
     original = lindblad.catalog_ad_correlated
 
     def broken(alpha):
         cat = original(alpha)
         eigenvalues = np.where(np.array(lindblad.LABELS) == "R33", 0.0, cat.eigenvalues)
-        return replace(cat, eigenvalues=eigenvalues)
+        return lindblad.EigenoperatorCatalog(cat.rights, eigenvalues, cat.lefts)
 
     monkeypatch.setattr(lindblad, "catalog_ad_correlated", broken)
     code, out, _ = run_cli(capsys, "verify")
